@@ -3,20 +3,24 @@
 //!
 //! Each connection gets its own thread (connections are few and mostly
 //! idle or streaming; a thread per connection keeps the code free of any
-//! event-loop dependency). The accept loop polls a non-blocking listener
-//! so a shutdown request can stop it promptly without needing a way to
-//! interrupt `accept`.
+//! event-loop dependency). The accept loop blocks in `accept`; a shutdown
+//! — [`Daemon::stop`] or a client's `shutdown` request — wakes it by
+//! connecting to the daemon's own address once the shutdown flag is set.
+//!
+//! Every accepted socket sets `TCP_NODELAY` and every response line goes
+//! out in one write ([`write_line`]), so no line waits on Nagle's
+//! algorithm for the client's delayed ACK.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use icvbe_instrument::chaos::SocketFault;
 
 use crate::protocol::{
-    error_line, hello_line, parse_request, queue_full_line, submitted_line, ProtocolError, Request,
-    PROTOCOL_VERSION,
+    error_line, hello_line, parse_request, queue_full_line, submitted_line, write_line,
+    ProtocolError, Request, PROTOCOL_VERSION,
 };
 use crate::service::{Service, ServiceConfig, SubmitError};
 
@@ -37,7 +41,6 @@ impl Daemon {
     /// Socket bind errors and [`Service::start`] I/O errors.
     pub fn start(config: ServiceConfig, addr: &str) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let service = Arc::new(Service::start(config)?);
         let accept_service = Arc::clone(&service);
@@ -45,19 +48,23 @@ impl Daemon {
             // Connection ordinal: the key of per-connection chaos verdicts.
             let mut conn: u64 = 0;
             loop {
+                let accepted = listener.accept();
+                // Checked after `accept` returns: the shutdown paths set
+                // the flag first, then connect to wake this call.
                 if accept_service.is_shutdown() {
                     break;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((socket, _)) => {
                         conn += 1;
                         let op = conn;
                         let conn_service = Arc::clone(&accept_service);
-                        std::thread::spawn(move || handle_connection(&conn_service, socket, op));
+                        std::thread::spawn(move || {
+                            handle_connection(&conn_service, socket, op, local);
+                        });
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                    // A peer that reset before we accepted it; keep serving.
+                    Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
                     Err(_) => break,
                 }
             }
@@ -93,14 +100,27 @@ impl Daemon {
     /// Stops the daemon from the host process (equivalent to a client
     /// `shutdown`) and waits for it.
     pub fn stop(self) {
-        self.service.request_shutdown();
+        shut_down(&self.service, self.addr);
         self.wait();
     }
 }
 
-fn write_line(socket: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    socket.write_all(line.as_bytes())?;
-    socket.write_all(b"\n")
+/// Sets the shutdown flag, then wakes the accept loop out of its blocking
+/// `accept` with a throwaway connection to the daemon's own address.
+fn shut_down(service: &Service, addr: SocketAddr) {
+    service.request_shutdown();
+    let _ = TcpStream::connect_timeout(&wake_addr(addr), Duration::from_secs(1));
+}
+
+/// The address a local connect reaches the listener on: a wildcard bind
+/// (`0.0.0.0` / `::`) is reached through the matching loopback address.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Outcome of one bounded request-line read.
@@ -150,9 +170,10 @@ fn read_bounded_line(reader: &mut BufReader<TcpStream>, cap: usize) -> LineRead 
 /// Hardened I/O: read/write timeouts shed stalled clients, request lines
 /// are length-capped, and the connection-keyed chaos plan can stall or
 /// reset the socket up front to exercise exactly those paths.
-fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64) {
-    // Socket timeouts apply to the shared underlying socket, so setting
+fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64, local: SocketAddr) {
+    // Socket options apply to the shared underlying socket, so setting
     // them once here covers the cloned read half too.
+    let _ = socket.set_nodelay(true);
     if let Some(timeout) = service.io_timeout() {
         let _ = socket.set_read_timeout(Some(timeout));
         let _ = socket.set_write_timeout(Some(timeout));
@@ -251,7 +272,7 @@ fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64) {
                 continue;
             }
         };
-        if !dispatch(service, &mut socket, request) {
+        if !dispatch(service, &mut socket, request, local) {
             return;
         }
     }
@@ -259,7 +280,12 @@ fn handle_connection(service: &Arc<Service>, socket: TcpStream, conn: u64) {
 
 /// Handles one parsed request; returns `false` when the connection should
 /// close.
-fn dispatch(service: &Arc<Service>, socket: &mut TcpStream, request: Request) -> bool {
+fn dispatch(
+    service: &Arc<Service>,
+    socket: &mut TcpStream,
+    request: Request,
+    local: SocketAddr,
+) -> bool {
     match request {
         Request::Hello { .. } => write_line(socket, &hello_line()).is_ok(),
         Request::Status => write_line(socket, &service.status_json()).is_ok(),
@@ -316,7 +342,7 @@ fn dispatch(service: &Arc<Service>, socket: &mut TcpStream, request: Request) ->
         }
         Request::Shutdown => {
             let _ = write_line(socket, "{\"ok\":true,\"type\":\"shutdown\"}");
-            service.request_shutdown();
+            shut_down(service, local);
             false
         }
     }

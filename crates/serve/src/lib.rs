@@ -13,10 +13,13 @@
 //! - [`service`]: the engine — a bounded job queue, a scheduler that
 //!   round-robins execution **slices** across tenants (no tenant can
 //!   starve another), one shared symbolic-LU cache across all jobs, per-
-//!   die event streams with history replay, and checkpoint files that let
-//!   a killed daemon resume every job **byte-identically**.
-//! - [`daemon`]: the TCP front end (thread per connection, polling accept
-//!   loop, no dependencies beyond `std`).
+//!   die event streams with history replay, checkpoint files that let
+//!   a killed daemon resume every job **byte-identically**, and a fixed
+//!   cap on retained finished jobs
+//!   ([`service::FINISHED_JOBS_RETAINED`]).
+//! - [`daemon`]: the TCP front end (thread per connection, blocking
+//!   accept loop woken on shutdown, `TCP_NODELAY` sockets, no
+//!   dependencies beyond `std`).
 //! - [`client`]: a blocking client used by `repro submit` / `repro watch`
 //!   and the end-to-end tests.
 //! - [`shard`]: multi-process campaign execution — a supervisor spawns N

@@ -14,6 +14,11 @@
 //! | `{"cmd":"results","job":n}` or `{"cmd":"results","label":l}` | replayed `die`* then the terminal event |
 //! | `{"cmd":"cancel","job":n}` | `cancelled` |
 //! | `{"cmd":"shutdown"}` | `shutdown`, then the daemon checkpoints and exits |
+//!
+//! Both ends put a line on the wire with [`write_line`]: the text and its
+//! terminator leave in one write.
+
+use std::io::Write;
 
 use icvbe_campaign::json::{escape, parse, Json};
 use icvbe_campaign::wire::spec_from_value;
@@ -150,6 +155,24 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(ProtocolError::bad(format!("unknown cmd {other:?}"))),
     }
+}
+
+/// Writes `line` and its `\n` terminator as **one** `write_all`.
+///
+/// Writing the terminator separately would leave a one-byte segment
+/// behind the text; on a TCP socket Nagle's algorithm then holds it until
+/// the peer's delayed ACK (~40 ms on Linux), once per request/response
+/// turn. The sockets also set `TCP_NODELAY`, but one write per line keeps
+/// each line in one segment either way.
+///
+/// # Errors
+///
+/// Propagates the writer's I/O error.
+pub fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
+    w.write_all(&framed)
 }
 
 /// Renders a typed error response. `retry_after_ms` is carried only by

@@ -55,6 +55,14 @@ use crate::protocol::{cancelled_line, die_line, done_line, PROTOCOL_VERSION};
 /// `icvbe-campaign-checkpoint-v1` codec nested inside).
 pub const SERVE_CHECKPOINT_SCHEMA: &str = "icvbe-serve-checkpoint-v1";
 
+/// Finished (done, cancelled or failed) jobs the service keeps for
+/// `status` listings and `results` replays. Past this many, the oldest
+/// finished job ids are dropped from the job table, so a long-running
+/// daemon's memory is bounded by this constant plus the live queue, not
+/// by every job it ever served. An evicted job answers `unknown_job`;
+/// the service counters still count it.
+pub const FINISHED_JOBS_RETAINED: usize = 64;
+
 /// Poison-safe lock: the service must keep serving even if some thread
 /// panicked while holding the mutex (the state is a job table of plain
 /// data — there is no invariant a panic can half-apply).
@@ -466,20 +474,33 @@ impl Inner {
     }
 
     /// Picks the next `(job id, slice task)` fairly: tenants are visited
-    /// round-robin; within a tenant the oldest live job runs first.
-    fn pick_next(&self) -> Option<SliceTask> {
+    /// round-robin; within a tenant the oldest live job runs first. Live
+    /// jobs flagged for cancellation between slices are terminalized
+    /// first, so they never take a turn. Runs under the caller's state
+    /// guard: the scheduler waits on that same guard when this returns
+    /// `None`, so a notify between the check and the wait cannot be lost.
+    fn pick_next(&self, state: &mut State) -> Option<SliceTask> {
         if self.paused.load(Ordering::Relaxed) {
             return None;
         }
-        let mut state = lock(&self.state);
+        let mut retired = false;
+        for (&id, job) in &mut state.jobs {
+            if job.state.live() && job.cancel.load(Ordering::Relaxed) {
+                self.finalize_cancelled(id, job);
+                retired = true;
+            }
+        }
+        if retired {
+            evict_finished(state);
+        }
         let n = state.tenants.len();
         for i in 0..n {
             let ti = (state.rr + i) % n;
-            let tenant = state.tenants[ti].clone();
+            let tenant = &state.tenants[ti];
             let id = state
                 .jobs
                 .iter()
-                .find(|(_, j)| j.tenant == tenant && j.state.live())
+                .find(|(_, j)| j.tenant == *tenant && j.state.live())
                 .map(|(id, _)| *id);
             let Some(id) = id else { continue };
             state.rr = (ti + 1) % n;
@@ -487,11 +508,6 @@ impl Inner {
             let Some(job) = state.jobs.get_mut(&id) else {
                 continue;
             };
-            if job.cancel.load(Ordering::Relaxed) {
-                self.finalize_cancelled(id, job);
-                // A cancellation consumed this turn; the caller loops.
-                return None;
-            }
             if job.state == JobState::Queued {
                 job.state = JobState::Running;
                 // End of the job's queued phase: n1 records the live-job
@@ -587,6 +603,7 @@ impl Inner {
             }
             Err(e) => self.finalize_failed(task.job, job, &format!("{e:?}")),
         }
+        evict_finished(&mut state);
     }
 
     /// Shutdown path: checkpoint every live job and release all
@@ -616,6 +633,26 @@ impl Inner {
             job.subscribers.clear();
         }
     }
+}
+
+/// Drops the oldest finished jobs (lowest ids first) until at most
+/// [`FINISHED_JOBS_RETAINED`] remain. Live jobs are never touched, and a
+/// finished job's checkpoint files were already removed when it finished.
+fn evict_finished(state: &mut State) {
+    let finished = state.jobs.values().filter(|j| !j.state.live()).count();
+    let mut excess = finished.saturating_sub(FINISHED_JOBS_RETAINED);
+    if excess == 0 {
+        return;
+    }
+    // `BTreeMap::retain` visits keys in ascending order: oldest ids first.
+    state.jobs.retain(|_, j| {
+        if excess > 0 && !j.state.live() {
+            excess -= 1;
+            false
+        } else {
+            true
+        }
+    });
 }
 
 struct SliceTask {
@@ -737,22 +774,31 @@ impl Service {
         service.resume_from_checkpoints();
         let sched_inner = Arc::clone(&inner);
         let handle = std::thread::spawn(move || {
+            let mut state = lock(&sched_inner.state);
             loop {
                 if sched_inner.shutdown.load(Ordering::Relaxed) {
                     break;
                 }
-                match sched_inner.pick_next() {
-                    Some(task) => sched_inner.run_slice(task),
+                match sched_inner.pick_next(&mut state) {
+                    Some(task) => {
+                        drop(state);
+                        sched_inner.run_slice(task);
+                        state = lock(&sched_inner.state);
+                    }
                     None => {
-                        let state = lock(&sched_inner.state);
-                        // Condvar wait bounded by a timeout: wake-ups are
-                        // also driven by submit/cancel/shutdown notifies.
-                        let _unused = sched_inner
+                        // Nothing runnable, checked under this same guard:
+                        // submit/cancel/pause/shutdown all notify while
+                        // holding the lock, so none of them can slip in
+                        // between the check and the wait. The timeout is
+                        // only a safety net.
+                        state = sched_inner
                             .wake
-                            .wait_timeout(state, Duration::from_millis(20));
+                            .wait_timeout(state, Duration::from_millis(20))
+                            .map_or_else(|e| e.into_inner().0, |(g, _)| g);
                     }
                 }
             }
+            drop(state);
             sched_inner.checkpoint_all_and_release();
         });
         *lock(&service.scheduler) = Some(handle);
@@ -1002,6 +1048,7 @@ impl Service {
         job.cancel.store(true, Ordering::Relaxed);
         if job.state == JobState::Queued {
             inner.finalize_cancelled(job_id, job);
+            evict_finished(&mut state);
         }
         inner.wake.notify_all();
         true
@@ -1009,6 +1056,7 @@ impl Service {
 
     /// Pauses or resumes the scheduler (jobs still queue while paused).
     pub fn set_paused(&self, paused: bool) {
+        let _state = lock(&self.inner.state);
         self.inner.paused.store(paused, Ordering::Relaxed);
         self.inner.wake.notify_all();
     }
@@ -1138,6 +1186,7 @@ impl Service {
     /// Asks the scheduler to stop after the current slice. Live jobs are
     /// checkpointed on the way out; streaming clients are released.
     pub fn request_shutdown(&self) {
+        let _state = lock(&self.inner.state);
         self.inner.shutdown.store(true, Ordering::Relaxed);
         self.inner.wake.notify_all();
     }
@@ -1270,5 +1319,36 @@ mod tests {
         let lines = drain_until_done(&rx);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"type\":\"cancelled\""));
+    }
+
+    #[test]
+    fn cancelled_jobs_count_toward_retention_and_live_jobs_stay() {
+        let service = Service::start(ServiceConfig {
+            queue_capacity: 2,
+            paused: true,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // A queued job admitted first: the oldest id, but live throughout.
+        let live = service.submit("t", "live", tiny_spec(0)).unwrap().job;
+        let cancelled: Vec<u64> = (0..FINISHED_JOBS_RETAINED + 3)
+            .map(|k| {
+                let job = service.submit("t", "c", tiny_spec(k as u64)).unwrap().job;
+                assert!(service.cancel(job));
+                job
+            })
+            .collect();
+        // The three oldest finished jobs are gone; the rest, and the live
+        // job older than all of them, are still there.
+        for &job in &cancelled[..3] {
+            assert!(service.subscribe(job).is_none(), "job {job} retained");
+        }
+        for &job in &cancelled[3..] {
+            assert!(service.subscribe(job).is_some(), "job {job} evicted");
+        }
+        assert!(service.subscribe(live).is_some(), "live job evicted");
+        let stats = service.stats();
+        assert_eq!(stats.cancelled, cancelled.len() as u64);
+        assert_eq!(stats.queue_depth, 1);
     }
 }

@@ -40,7 +40,7 @@
 //! variable makes the named worker abort mid-slice, which is how the
 //! smoke tests exercise that path deterministically.
 
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -55,6 +55,8 @@ use icvbe_campaign::partial::{
 };
 use icvbe_campaign::wire::{spec_fingerprint, spec_from_value, spec_to_json};
 use icvbe_campaign::{run_campaign_streaming, CampaignRun, CampaignSpec, StreamOptions};
+
+use crate::protocol::write_line;
 
 /// Version tag of the supervisor↔worker request line.
 pub const SHARD_PROTOCOL_VERSION: u32 = 1;
@@ -263,8 +265,7 @@ pub fn run_sharded(spec: &CampaignSpec, opts: &ShardOptions) -> Result<CampaignR
             // The request is a single line; closing stdin right after
             // tells the worker there is nothing more to wait for.
             if let Some(stdin) = child.stdin.take().as_mut() {
-                stdin.write_all(shard_request_line(spec, shard, *range, opts).as_bytes())?;
-                stdin.write_all(b"\n")?;
+                write_line(stdin, &shard_request_line(spec, shard, *range, opts))?;
             }
             Ok(child)
         };

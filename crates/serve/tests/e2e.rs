@@ -1,7 +1,8 @@
 //! End-to-end tests of the campaign service over real TCP sockets: the
 //! version handshake, byte-identical streamed results, fair round-robin
-//! scheduling across tenants, `queue_full` backpressure, and a daemon
-//! restart that resumes from checkpoint files.
+//! scheduling across tenants, `queue_full` backpressure, a daemon
+//! restart that resumes from checkpoint files, request/response latency
+//! on loopback, prompt stops, and bounded finished-job retention.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -285,4 +286,117 @@ fn restarted_daemon_resumes_checkpointed_jobs_byte_identically() {
 
     second.stop();
     let _ = std::fs::remove_dir_all(&ckdir);
+}
+
+#[test]
+fn status_round_trips_run_at_loopback_speed() {
+    // One request/response turn per status call. If either end split a
+    // line into two writes, Nagle's algorithm would hold the second until
+    // the peer's delayed ACK (~40 ms), putting 200 turns past 8 s.
+    let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").expect("daemon");
+    let mut client = Client::connect(&daemon.local_addr().to_string()).expect("connect");
+    let t0 = Instant::now();
+    for _ in 0..200 {
+        client.status().expect("status");
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 status round trips took {elapsed:?}"
+    );
+    daemon.stop();
+}
+
+/// Runs `wait` (or `stop`) on a background thread and reports whether it
+/// returned within `limit`.
+fn returns_within(limit: Duration, f: impl FnOnce() + Send + 'static) -> bool {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(limit).is_ok()
+}
+
+#[test]
+fn both_stop_paths_wake_the_blocking_accept_loop() {
+    // Host-side stop with no client connected.
+    let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").expect("daemon");
+    assert!(
+        returns_within(Duration::from_secs(1), move || daemon.stop()),
+        "Daemon::stop did not return within 1 s"
+    );
+
+    // A client's `shutdown` request; the client is gone before `wait`.
+    let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").expect("daemon");
+    Client::connect(&daemon.local_addr().to_string())
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    assert!(
+        returns_within(Duration::from_secs(1), move || daemon.wait()),
+        "Daemon::wait did not return within 1 s of a shutdown request"
+    );
+}
+
+#[test]
+fn finished_jobs_beyond_the_retention_cap_are_evicted_oldest_first() {
+    use icvbe_serve::service::FINISHED_JOBS_RETAINED;
+
+    let daemon = Daemon::start(ServiceConfig::default(), "127.0.0.1:0").expect("daemon");
+    let addr = daemon.local_addr().to_string();
+    let one_die = spec(1, 5);
+    let total = FINISHED_JOBS_RETAINED + 5;
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut ids = Vec::new();
+    for k in 0..total {
+        ids.push(
+            client
+                .submit("t", &format!("job{k}"), &one_die, true)
+                .expect("submit"),
+        );
+        client.wait_done(|_, _| {}).expect("job");
+    }
+
+    let status = client.status().expect("status");
+    let jobs = status.get("jobs").and_then(Json::as_arr).expect("jobs");
+    assert!(
+        jobs.len() <= FINISHED_JOBS_RETAINED,
+        "status lists {} finished jobs, cap is {FINISHED_JOBS_RETAINED}",
+        jobs.len()
+    );
+    let counter = |name: &str| {
+        status
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(counter("submitted"), Some(total as u64));
+    assert_eq!(counter("completed"), Some(total as u64));
+
+    // The newest job still replays its history...
+    let newest = *ids.last().expect("jobs");
+    client.results(Some(newest), None, None).expect("results");
+    let mut dies = 0;
+    let artifacts = client.wait_done(|_, _| dies += 1).expect("replay");
+    assert_eq!(dies, 1);
+    assert!(artifacts
+        .iter()
+        .any(|(n, _)| n == "campaign_aggregate.json"));
+
+    // ...while the oldest is gone, by id and by label.
+    client.results(Some(ids[0]), None, None).expect("results");
+    match client.next_event() {
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "unknown_job"),
+        other => panic!("expected unknown_job for an evicted job, got {other:?}"),
+    }
+    client
+        .results(None, Some("job0"), Some("t"))
+        .expect("results");
+    match client.next_event() {
+        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "unknown_job"),
+        other => panic!("expected unknown_job for an evicted label, got {other:?}"),
+    }
+
+    daemon.stop();
 }

@@ -8,12 +8,13 @@
 //!
 //! The test lives in its own integration-test binary so the global
 //! allocator hook cannot interfere with (or be confused by) allocations
-//! from unrelated tests. Counting is gated on a thread-local flag, so the
-//! test harness's own threads never pollute the counters.
+//! from unrelated tests. The counting flag and the counters are both
+//! thread-local: the harness runs these tests concurrently, and a sibling
+//! test that allocates on purpose must never show up in another test's
+//! tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use icvbe_spice::bjt::{Bjt, BjtParams, Polarity};
 use icvbe_spice::element::{CurrentSource, Resistor};
@@ -23,11 +24,10 @@ use icvbe_spice::system::CircuitAssembly;
 use icvbe_spice::workspace::{solve_dc_with, SolveWorkspace};
 use icvbe_units::{Ampere, Kelvin, Ohm};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn counting_enabled() -> bool {
@@ -35,13 +35,20 @@ fn counting_enabled() -> bool {
     COUNTING.try_with(Cell::get).unwrap_or(false)
 }
 
+/// Bumps this thread's `counter` when counting is on. The const-initialized
+/// `Cell`s have no destructor and never allocate, so touching them from
+/// inside the allocator is safe.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    if counting_enabled() {
+        let _ = counter.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting_enabled() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
@@ -50,9 +57,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting_enabled() {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(&REALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,14 +68,14 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// Runs `f` with allocation counting enabled on this thread and returns
 /// `(allocations, reallocations)` attributed to it.
 fn count_allocations<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let r0 = REALLOCS.load(Ordering::Relaxed);
+    let a0 = ALLOCS.with(Cell::get);
+    let r0 = REALLOCS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
     (
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        REALLOCS.load(Ordering::Relaxed) - r0,
+        ALLOCS.with(Cell::get) - a0,
+        REALLOCS.with(Cell::get) - r0,
         out,
     )
 }

@@ -19,6 +19,14 @@ cargo clippy -p icvbe-units -p icvbe-devphys -p icvbe-numerics -p icvbe-core \
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> alloc_free x3: thread-local allocation counters stay race-free"
+# These tests run concurrently and one allocates on purpose; a counter
+# shared across threads fails about half the runs. Three runs in a row
+# make a reintroduced race visible.
+for _ in 1 2 3; do
+  cargo test -q -p icvbe-spice --test alloc_free
+done
+
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
@@ -82,6 +90,16 @@ for f in crates/spice/src/limexp.rs crates/spice/src/bjt.rs \
          crates/devphys/src/saturation.rs crates/devphys/src/carriers.rs; do
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' | grep -q '\.exp()'; then
     echo "FAIL: libm .exp() in hot-path file $f"; exit 1
+  fi
+done
+
+echo "==> framing grep gate: every serve protocol line is one write"
+# A newline written on its own leaves a one-byte segment behind the line
+# text; Nagle's algorithm holds it for the peer's delayed ACK (~40 ms per
+# request/response turn). Lines go out through protocol::write_line.
+for f in crates/serve/src/*.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' | grep -q 'write_all(b"\\n")'; then
+    echo "FAIL: separate newline write in $f"; exit 1
   fi
 done
 
