@@ -525,8 +525,9 @@ pub struct QuarantineRecord {
 ///
 /// Memory is O(corners) plus one [`QuarantineRecord`] per *failed*
 /// corner — zero on a healthy campaign, bounded by the fault rate
-/// otherwise.
-#[derive(Debug, Clone, PartialEq)]
+/// otherwise. The default is the aggregate of a campaign with no
+/// corners, holding nothing.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignAggregate {
     /// Dies folded in so far.
     pub dies: u64,

@@ -339,20 +339,4 @@ mod tests {
             assert_eq!(vexp(x).to_bits(), out[i].to_bits(), "slice sweep {i}");
         }
     }
-
-    #[test]
-    fn libm_backend_switch_routes_all_forms() {
-        set_libm_backend(true);
-        let xs = [0.5, -3.25, 17.0, -40.0];
-        let lanes = vexp_lanes(&xs);
-        let mut sliced = [0.0; 4];
-        vexp_slice(&xs, &mut sliced);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(vexp(x).to_bits(), x.exp().to_bits(), "scalar {x}");
-            assert_eq!(lanes[i].to_bits(), x.exp().to_bits(), "lane {x}");
-            assert_eq!(sliced[i].to_bits(), x.exp().to_bits(), "slice {x}");
-        }
-        set_libm_backend(false);
-        assert_eq!(vexp(0.5).to_bits(), exp_core(0.5).to_bits());
-    }
 }

@@ -419,7 +419,7 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  stamping: device bypass hit rate {:.1}% ({} evals, {} exact reuses, \
+        "  stamping: device cache hit rate {:.1}% ({} evals, {} exact reuses, \
          {} bypasses), incremental restamp {:.1}% ({} incremental, {} full)",
         solver.bypass_hit_rate() * 100.0,
         solver.device_evals,
@@ -916,7 +916,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(off.contains(" 0 bypasses)"), "no-bypass summary:\n{off}");
-        assert!(on.contains("stamping: device bypass hit rate"));
+        assert!(on.contains("stamping: device cache hit rate"));
         // Bypass is a pure speed knob: every physics number in the corner
         // table is byte-identical with it on or off.
         let physics = |s: &str| {

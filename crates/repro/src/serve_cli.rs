@@ -16,7 +16,10 @@
 //! `shutdown`; it prints `listening on HOST:PORT` once bound (with
 //! port 0 the line carries the actual ephemeral port). With
 //! `--checkpoint-dir` a killed daemon restarted on the same directory
-//! resumes every incomplete job byte-identically.
+//! resumes every incomplete job byte-identically. `--threads N` is the
+//! worker threads per slice; the daemon runs ⌊cores / N⌋ slices (at
+//! least one) of different jobs at once, so `--threads 1` on a 2-core
+//! host runs two tenants' jobs side by side.
 //!
 //! `submit` builds the same campaign spec `repro campaign` would (the
 //! spec flags are identical), sends it to a running daemon and — unless
@@ -227,7 +230,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliArgs, String> {
                      (usage: serve [--addr HOST:PORT] [--threads N] [--queue N] [--slice N] \
                      [--checkpoint-dir DIR] [--checkpoint-every K] [--paused] [--trace] \
                      [--io-timeout-ms MS] [--max-request BYTES] [--chaos SPEC] \
-                     [--chaos-seed S])"
+                     [--chaos-seed S]; --threads is worker threads per slice, and the \
+                     daemon runs max(1, cores / threads) slices of different jobs at once)"
                 ));
             }
         }

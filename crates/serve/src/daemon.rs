@@ -89,7 +89,7 @@ impl Daemon {
     }
 
     /// Blocks until a `shutdown` request stops the daemon, then joins the
-    /// accept loop and the scheduler (final checkpoints written).
+    /// accept loop and the executors (final checkpoints written).
     pub fn wait(mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();

@@ -10,9 +10,10 @@
 //!   `submit`/`status`/`results`/`cancel`/`shutdown`, typed errors
 //!   (`unsupported_version`, `queue_full` with a `retry_after_ms`
 //!   backpressure hint, `unknown_job`, `bad_request`).
-//! - [`service`]: the engine — a bounded job queue, a scheduler that
-//!   round-robins execution **slices** across tenants (no tenant can
-//!   starve another), one shared symbolic-LU cache across all jobs, per-
+//! - [`service`]: the engine — a bounded job queue, executor threads
+//!   that round-robin execution **slices** across tenants (no tenant can
+//!   starve another) and run slices of different jobs side by side on
+//!   the cores a slice leaves idle, one shared symbolic-LU cache across all jobs, per-
 //!   die event streams with history replay, checkpoint files that let
 //!   a killed daemon resume every job **byte-identically**, and a fixed
 //!   cap on retained finished jobs
@@ -31,7 +32,7 @@
 //! # Determinism contract
 //!
 //! The campaign fold is strictly die-index-ordered, so slicing a job
-//! across scheduler turns — or across a daemon kill and restart — cannot
+//! across slices — or across a daemon kill and restart — cannot
 //! change a single bit of the four deterministic report artifacts: they
 //! are byte-identical to a one-shot `repro campaign` of the same spec at
 //! any thread count. The shared symbolic cache preserves this too: a

@@ -1,13 +1,19 @@
 //! The multi-tenant campaign engine behind the daemon.
 //!
-//! One scheduler thread round-robins across tenants, running one bounded
-//! **slice** of the chosen tenant's oldest live job per turn through
-//! [`run_campaign_streaming`] — so a long wafer from one tenant can never
-//! starve another tenant's submission, while each individual slice still
-//! uses the full worker pool. Between slices the job's aggregate state
-//! rests in the job table; because the campaign fold is strictly
-//! die-index-ordered, slicing is invisible in the results: the final
-//! artifacts are byte-identical to a one-shot run of the same spec.
+//! Work runs in bounded **slices**: one slice folds up to
+//! [`ServiceConfig::slice_dies`] dies of one job through
+//! [`run_campaign_streaming`] on [`ServiceConfig::threads`] worker
+//! threads. The service runs `slots = max(1, cores / threads)` slices at
+//! once, each on its own long-lived executor thread, and always from
+//! different jobs. An executor picks its next slice by round-robin across
+//! tenants, taking the tenant's oldest live job whose slice is not
+//! already executing — so a long wafer from one tenant can never starve
+//! another tenant's submission, and with idle cores each tenant's job
+//! runs on its own. Between slices the job's aggregate state rests in the
+//! job table; because at most one slice per job is in flight and the
+//! campaign fold is strictly die-index-ordered, slicing and parallel
+//! executors are invisible in the results: the final artifacts are
+//! byte-identical to a one-shot run of the same spec.
 //!
 //! Cross-cutting state:
 //!
@@ -73,13 +79,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads used by each execution slice.
+    /// Worker threads used by each execution slice. The service runs
+    /// `max(1, cores / threads)` slices of different jobs at once.
     pub threads: usize,
     /// Maximum live (queued + running) jobs; submissions beyond this are
     /// rejected with `queue_full`.
     pub queue_capacity: usize,
-    /// Dies folded per scheduling turn before the scheduler rotates to
-    /// the next tenant.
+    /// Dies folded per slice before the job goes back to the table and
+    /// its executor picks the next tenant's work.
     pub slice_dies: usize,
     /// Write a checkpoint every this many folded dies (0 disables the
     /// cadence; admission/shutdown checkpoints still happen when a
@@ -93,7 +100,7 @@ pub struct ServiceConfig {
     /// of admitted-but-not-yet-dispatched jobs at rejection time, so
     /// callers back off longer the deeper the waiting backlog is.
     pub retry_after_ms: u64,
-    /// Start with the scheduler paused (jobs queue but never run) — used
+    /// Start with the executors paused (jobs queue but never run) — used
     /// by tests to fill the queue deterministically.
     pub paused: bool,
     /// Record service-level `job`/`queue` spans into a [`Trace`].
@@ -182,6 +189,9 @@ struct Job {
     generation: Arc<AtomicU64>,
     elapsed_ns: u64,
     max_buffer: usize,
+    /// A slice of this job is on an executor. At most one is, so the fold
+    /// stays die-ordered; executors skip the job until the slice ends.
+    executing: bool,
     /// Rendered event lines, in order, replayed to late subscribers.
     history: Vec<String>,
     subscribers: Vec<mpsc::Sender<String>>,
@@ -194,6 +204,9 @@ struct State {
     /// Next tenant index to favour.
     rr: usize,
     next_id: u64,
+    /// Executor threads still running; the last one to exit runs the
+    /// shutdown checkpoint sweep.
+    executors: usize,
 }
 
 /// A snapshot of the service's own counters (the campaign-level metrics
@@ -214,8 +227,14 @@ pub struct ServiceStats {
     pub resumed: u64,
     /// Live (queued + running) jobs right now.
     pub queue_depth: usize,
-    /// Jobs currently in the running state.
+    /// Started, unfinished jobs (the running state), whether or not a
+    /// slice of theirs is executing right now.
     pub active_jobs: usize,
+    /// Slices the service runs at once: `max(1, cores / threads)`, fixed
+    /// at start.
+    pub slots: usize,
+    /// Jobs with a slice executing right now (at most `slots`).
+    pub executing: usize,
     /// Shared symbolic-LU cache hits across all jobs.
     pub cache_hits: u64,
     /// Shared symbolic-LU cache misses (first analysis of a pattern).
@@ -260,6 +279,8 @@ pub struct SubmitTicket {
 
 struct Inner {
     config: ServiceConfig,
+    /// Executor threads, each running one slice at a time.
+    slots: usize,
     state: Mutex<State>,
     wake: Condvar,
     cache: Arc<SymbolicCache>,
@@ -282,12 +303,12 @@ struct Inner {
     epoch: Instant,
 }
 
-/// The campaign service: job table, scheduler thread, shared caches.
+/// The campaign service: job table, executor threads, shared caches.
 ///
 /// The daemon wraps this in a TCP front end; tests drive it directly.
 pub struct Service {
     inner: Arc<Inner>,
-    scheduler: Mutex<Option<std::thread::JoinHandle<()>>>,
+    executors: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Service {
@@ -422,15 +443,15 @@ impl Inner {
         }
     }
 
-    /// Terminalizes a finished job: renders the artifacts, publishes the
-    /// `done` event, releases subscribers and deletes the checkpoint.
+    /// Terminalizes a finished job: renders the artifacts and ends the
+    /// job with the `done` event.
     fn finalize_done(&self, job_id: u64, job: &mut Job) {
         let metrics =
             job.counters
                 .snapshot(self.config.threads.max(1), job.elapsed_ns, job.max_buffer);
         let run = CampaignRun {
             spec: job.spec.clone(),
-            aggregate: job.aggregate.clone(),
+            aggregate: std::mem::take(&mut job.aggregate),
             metrics,
             trace: None,
         };
@@ -442,23 +463,13 @@ impl Inner {
             ("campaign_metrics.json", report::metrics_json(&run)),
         ];
         let borrowed: Vec<(&str, &str)> = artifacts.iter().map(|(n, t)| (*n, t.as_str())).collect();
-        let line = done_line(job_id, &borrowed);
-        Inner::publish_locked(job, line);
-        job.subscribers.clear();
-        job.state = JobState::Done;
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.remove_checkpoint(job_id);
-        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+        self.finish(job_id, job, done_line(job_id, &borrowed), JobState::Done);
     }
 
     fn finalize_cancelled(&self, job_id: u64, job: &mut Job) {
-        let line = cancelled_line(job_id);
-        Inner::publish_locked(job, line);
-        job.subscribers.clear();
-        job.state = JobState::Cancelled;
         self.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.remove_checkpoint(job_id);
-        self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
+        self.finish(job_id, job, cancelled_line(job_id), JobState::Cancelled);
     }
 
     fn finalize_failed(&self, job_id: u64, job: &mut Job, detail: &str) {
@@ -466,26 +477,40 @@ impl Inner {
             "{{\"ok\":false,\"type\":\"failed\",\"job\":{job_id},\"detail\":\"{}\"}}",
             escape(detail)
         );
+        self.finish(job_id, job, line, JobState::Failed);
+    }
+
+    /// Ends a job in `state`: publishes its terminal `line`, releases the
+    /// subscribers and deletes the checkpoint. The fold state goes too: a
+    /// finished job stays in the table only for `status` and replays, and
+    /// the aggregates (exact accumulators, ~16 KB per corner) of the
+    /// retained finished jobs would otherwise be most of the daemon's
+    /// memory.
+    fn finish(&self, job_id: u64, job: &mut Job, line: String, state: JobState) {
         Inner::publish_locked(job, line);
         job.subscribers.clear();
-        job.state = JobState::Failed;
+        job.state = state;
+        job.aggregate = CampaignAggregate::default();
         self.remove_checkpoint(job_id);
         self.trace_event(SpanPhase::End, SpanKind::Job, job_id, 0);
     }
 
     /// Picks the next `(job id, slice task)` fairly: tenants are visited
-    /// round-robin; within a tenant the oldest live job runs first. Live
+    /// round-robin; within a tenant the oldest live job whose slice is not
+    /// executing runs first, and the picked job is marked executing. Live
     /// jobs flagged for cancellation between slices are terminalized
-    /// first, so they never take a turn. Runs under the caller's state
-    /// guard: the scheduler waits on that same guard when this returns
-    /// `None`, so a notify between the check and the wait cannot be lost.
+    /// first, so they never take a turn; a job whose slice is executing is
+    /// left to that slice, which finalizes it when it sees the flag. Runs
+    /// under the caller's state guard: the executor waits on that same
+    /// guard when this returns `None`, so a notify between the check and
+    /// the wait cannot be lost.
     fn pick_next(&self, state: &mut State) -> Option<SliceTask> {
         if self.paused.load(Ordering::Relaxed) {
             return None;
         }
         let mut retired = false;
         for (&id, job) in &mut state.jobs {
-            if job.state.live() && job.cancel.load(Ordering::Relaxed) {
+            if job.state.live() && !job.executing && job.cancel.load(Ordering::Relaxed) {
                 self.finalize_cancelled(id, job);
                 retired = true;
             }
@@ -500,7 +525,7 @@ impl Inner {
             let id = state
                 .jobs
                 .iter()
-                .find(|(_, j)| j.tenant == *tenant && j.state.live())
+                .find(|(_, j)| j.tenant == *tenant && j.state.live() && !j.executing)
                 .map(|(id, _)| *id);
             let Some(id) = id else { continue };
             state.rr = (ti + 1) % n;
@@ -508,6 +533,7 @@ impl Inner {
             let Some(job) = state.jobs.get_mut(&id) else {
                 continue;
             };
+            job.executing = true;
             if job.state == JobState::Queued {
                 job.state = JobState::Running;
                 // End of the job's queued phase: n1 records the live-job
@@ -586,24 +612,60 @@ impl Inner {
         );
         self.slices.fetch_add(1, Ordering::Relaxed);
         let mut state = lock(&self.state);
-        let Some(job) = state.jobs.get_mut(&task.job) else {
-            return;
-        };
-        match result {
-            Ok(run) => {
-                job.elapsed_ns += slice_started.elapsed().as_nanos() as u64;
-                job.max_buffer = job.max_buffer.max(run.metrics.max_reorder_buffer);
-                job.aggregate = run.aggregate;
-                job.next_die = task.start_die + folded;
-                if job.cancel.load(Ordering::Relaxed) {
-                    self.finalize_cancelled(task.job, job);
-                } else if job.next_die >= job.total_dies {
-                    self.finalize_done(task.job, job);
+        if let Some(job) = state.jobs.get_mut(&task.job) {
+            job.executing = false;
+            match result {
+                Ok(run) => {
+                    job.elapsed_ns += slice_started.elapsed().as_nanos() as u64;
+                    job.max_buffer = job.max_buffer.max(run.metrics.max_reorder_buffer);
+                    job.aggregate = run.aggregate;
+                    job.next_die = task.start_die + folded;
+                    if job.cancel.load(Ordering::Relaxed) {
+                        self.finalize_cancelled(task.job, job);
+                    } else if job.next_die >= job.total_dies {
+                        self.finalize_done(task.job, job);
+                    }
                 }
+                Err(e) => self.finalize_failed(task.job, job, &format!("{e:?}")),
             }
-            Err(e) => self.finalize_failed(task.job, job, &format!("{e:?}")),
         }
         evict_finished(&mut state);
+        // The job is free again: an idle executor can take its next slice
+        // (or the tenant's next job) at once rather than at its timeout.
+        self.wake.notify_all();
+    }
+
+    /// One executor thread: runs slices until shutdown. Stops after its
+    /// current slice; the last executor to exit checkpoints every live
+    /// job and releases the subscribers, exactly once.
+    fn run_executor(self: &Arc<Inner>) {
+        let mut state = lock(&self.state);
+        while !self.shutdown.load(Ordering::Relaxed) {
+            match self.pick_next(&mut state) {
+                Some(task) => {
+                    drop(state);
+                    self.run_slice(task);
+                    state = lock(&self.state);
+                }
+                None => {
+                    // Nothing runnable, checked under this same guard:
+                    // submit/cancel/pause/shutdown and slice ends all
+                    // notify while holding the lock, so none of them can
+                    // slip in between the check and the wait. The timeout
+                    // is only a safety net.
+                    state = self
+                        .wake
+                        .wait_timeout(state, Duration::from_millis(20))
+                        .map_or_else(|e| e.into_inner().0, |(g, _)| g);
+                }
+            }
+        }
+        state.executors -= 1;
+        let last = state.executors == 0;
+        drop(state);
+        if last {
+            self.checkpoint_all_and_release();
+        }
     }
 
     /// Shutdown path: checkpoint every live job and release all
@@ -724,7 +786,7 @@ fn load_checkpoint_file(text: &str) -> Option<ResumedJob> {
 impl Service {
     /// Starts the service: loads any checkpointed jobs from the
     /// configured directory (creating it if needed) and spawns the
-    /// scheduler thread.
+    /// executor threads, `max(1, cores / threads)` of them.
     ///
     /// # Errors
     ///
@@ -738,6 +800,8 @@ impl Service {
         }
         let paused = config.paused;
         let tracing = config.trace;
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let slots = (cores / config.threads.max(1)).max(1);
         let chaos =
             (!config.chaos.is_none()).then(|| ChaosPlan::new(config.chaos, config.chaos_seed));
         let inner = Arc::new(Inner {
@@ -746,6 +810,7 @@ impl Service {
                 tenants: Vec::new(),
                 rr: 0,
                 next_id: 1,
+                executors: slots,
             }),
             wake: Condvar::new(),
             cache: Arc::new(SymbolicCache::new()),
@@ -765,43 +830,20 @@ impl Service {
             chaos,
             trace: tracing.then(|| Mutex::new(Trace::default())),
             epoch: Instant::now(),
+            slots,
             config,
         });
         let service = Service {
             inner: Arc::clone(&inner),
-            scheduler: Mutex::new(None),
+            executors: Mutex::new(Vec::new()),
         };
         service.resume_from_checkpoints();
-        let sched_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || {
-            let mut state = lock(&sched_inner.state);
-            loop {
-                if sched_inner.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                match sched_inner.pick_next(&mut state) {
-                    Some(task) => {
-                        drop(state);
-                        sched_inner.run_slice(task);
-                        state = lock(&sched_inner.state);
-                    }
-                    None => {
-                        // Nothing runnable, checked under this same guard:
-                        // submit/cancel/pause/shutdown all notify while
-                        // holding the lock, so none of them can slip in
-                        // between the check and the wait. The timeout is
-                        // only a safety net.
-                        state = sched_inner
-                            .wake
-                            .wait_timeout(state, Duration::from_millis(20))
-                            .map_or_else(|e| e.into_inner().0, |(g, _)| g);
-                    }
-                }
-            }
-            drop(state);
-            sched_inner.checkpoint_all_and_release();
-        });
-        *lock(&service.scheduler) = Some(handle);
+        *lock(&service.executors) = (0..slots)
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || inner.run_executor())
+            })
+            .collect();
         Ok(service)
     }
 
@@ -905,6 +947,7 @@ impl Service {
                     generation: Arc::new(AtomicU64::new(r.generation)),
                     elapsed_ns: 0,
                     max_buffer: 0,
+                    executing: false,
                     history,
                     subscribers: Vec::new(),
                 },
@@ -974,6 +1017,7 @@ impl Service {
             generation: Arc::new(AtomicU64::new(0)),
             elapsed_ns: 0,
             max_buffer: 0,
+            executing: false,
             history: Vec::new(),
             subscribers: Vec::new(),
         };
@@ -1054,7 +1098,8 @@ impl Service {
         true
     }
 
-    /// Pauses or resumes the scheduler (jobs still queue while paused).
+    /// Pauses or resumes the executors (jobs still queue while paused;
+    /// slices already executing run to their end).
     pub fn set_paused(&self, paused: bool) {
         let _state = lock(&self.inner.state);
         self.inner.paused.store(paused, Ordering::Relaxed);
@@ -1079,6 +1124,8 @@ impl Service {
                 .values()
                 .filter(|j| j.state == JobState::Running)
                 .count(),
+            slots: inner.slots,
+            executing: state.jobs.values().filter(|j| j.executing).count(),
             cache_hits: inner.cache.hits(),
             cache_misses: inner.cache.misses(),
             cache_patterns: inner.cache.patterns(),
@@ -1147,6 +1194,7 @@ impl Service {
             concat!(
                 "{{\"ok\":true,\"type\":\"status\",\"version\":{version},",
                 "\"paused\":{paused},\"queue_depth\":{depth},\"active_jobs\":{active},",
+                "\"slots\":{slots},\"executing\":{executing},",
                 "\"counters\":{{\"submitted\":{sub},\"completed\":{comp},",
                 "\"cancelled\":{canc},\"rejected\":{rej},\"slices\":{slices},",
                 "\"resumed\":{res},\"resumed_fallback\":{resfb},",
@@ -1159,6 +1207,8 @@ impl Service {
             paused = self.inner.paused.load(Ordering::Relaxed),
             depth = s.queue_depth,
             active = s.active_jobs,
+            slots = s.slots,
+            executing = s.executing,
             sub = s.submitted,
             comp = s.completed,
             canc = s.cancelled,
@@ -1183,18 +1233,20 @@ impl Service {
         self.inner.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Asks the scheduler to stop after the current slice. Live jobs are
-    /// checkpointed on the way out; streaming clients are released.
+    /// Asks every executor to stop after its current slice. Once the last
+    /// one exits, live jobs are checkpointed and streaming clients are
+    /// released.
     pub fn request_shutdown(&self) {
         let _state = lock(&self.inner.state);
         self.inner.shutdown.store(true, Ordering::Relaxed);
         self.inner.wake.notify_all();
     }
 
-    /// Blocks until the scheduler thread has exited (checkpoints written).
+    /// Blocks until every executor thread has exited (checkpoints
+    /// written).
     pub fn join(&self) {
-        let handle = lock(&self.scheduler).take();
-        if let Some(h) = handle {
+        let handles = std::mem::take(&mut *lock(&self.executors));
+        for h in handles {
             let _ = h.join();
         }
     }
@@ -1319,6 +1371,26 @@ mod tests {
         let lines = drain_until_done(&rx);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"type\":\"cancelled\""));
+    }
+
+    #[test]
+    fn finished_jobs_release_their_fold_state() {
+        let service = Service::start(ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let done = service.submit("t", "done", tiny_spec(4)).unwrap().job;
+        drain_until_done(&service.subscribe(done).unwrap());
+        service.set_paused(true);
+        let cancelled = service.submit("t", "cancelled", tiny_spec(5)).unwrap().job;
+        assert!(service.cancel(cancelled));
+        let state = lock(&service.inner.state);
+        for id in [done, cancelled] {
+            let job = &state.jobs[&id];
+            assert!(!job.state.live(), "job {id} still live");
+            assert_eq!(job.aggregate, CampaignAggregate::default(), "job {id}");
+        }
     }
 
     #[test]

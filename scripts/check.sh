@@ -80,6 +80,9 @@ done
 
 echo "==> vexp smoke: exp-kernel conformance tests (2-ulp, lane/slice bit-identity)"
 cargo test -q -p icvbe-numerics --lib vexp
+# The libm ablation switch is process-global; its test has a binary of
+# its own so it cannot race the bit-identity tests above.
+cargo test -q -p icvbe-numerics --test libm_backend
 
 echo "==> vexp grep gate: no libm exp in Newton/stamp hot paths"
 # The bits contract routes every hot-path exponential through the
@@ -197,6 +200,40 @@ for f in $frozen; do
 done
 kill "$serve2_pid" 2>/dev/null || true
 wait "$serve2_pid" 2>/dev/null || true
+
+echo "==> serve smoke: two tenants in parallel on a one-thread-per-slice daemon"
+# --threads 1 gives one slot per core, so on a multi-core host both jobs
+# execute side by side; each must still match its one-shot bytes.
+for seed in 31 32; do
+  ./target/release/repro campaign --diameter 6 --seed "$seed" --threads 1 \
+    --out "$smoke_dir/golden_par$seed" > /dev/null
+done
+./target/release/repro serve --addr 127.0.0.1:0 --threads 1 --slice 4 \
+  > "$smoke_dir/serve_par.log" &
+servep_pid=$!
+addrp=""
+for _ in $(seq 1 100); do
+  addrp="$(sed -n 's/^icvbe-serve listening on //p' "$smoke_dir/serve_par.log")"
+  [ -n "$addrp" ] && break
+  sleep 0.1
+done
+[ -n "$addrp" ] || { echo "FAIL: parallel daemon never came up"; exit 1; }
+./target/release/repro submit --addr "$addrp" --tenant alice --label par31 \
+  --diameter 6 --seed 31 --out "$smoke_dir/served_par31" > /dev/null &
+submit_a=$!
+./target/release/repro submit --addr "$addrp" --tenant bob --label par32 \
+  --diameter 6 --seed 32 --out "$smoke_dir/served_par32" > /dev/null &
+submit_b=$!
+wait "$submit_a" || { echo "FAIL: tenant alice's submit failed"; exit 1; }
+wait "$submit_b" || { echo "FAIL: tenant bob's submit failed"; exit 1; }
+for seed in 31 32; do
+  for f in $frozen; do
+    cmp "$smoke_dir/golden_par$seed/$f" "$smoke_dir/served_par$seed/$f" || \
+      { echo "FAIL: $f differs between one-shot and parallel-served seed $seed"; exit 1; }
+  done
+done
+kill "$servep_pid" 2>/dev/null || true
+wait "$servep_pid" 2>/dev/null || true
 
 echo "==> chaos smoke: contained die panics are thread-invariant and counted"
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
