@@ -1,8 +1,7 @@
 //! Campaign worker-pool scaling: identical wafer, 1 thread vs N threads,
 //! plus the solver ablations — warm vs cold starts, device bypass on vs
-//! off, frozen sparse plan vs dense LU fallback, lockstep batching vs
-//! the scalar per-die path (`--batch 1`), and the in-tree `vexp` exp
-//! kernel vs libm's `f64::exp` (`libm-exp`).
+//! off, frozen sparse plan vs dense LU fallback, and the in-tree `vexp`
+//! exp kernel vs libm's `f64::exp` (`libm-exp`).
 //!
 //! The aggregate is asserted bit-identical across thread counts *and*
 //! across every ablation before timing anything, so the speedup measured
@@ -20,17 +19,7 @@ use std::time::Instant;
 use icvbe_bench::harness::Criterion;
 use icvbe_bench::{criterion_group, criterion_main};
 use icvbe_campaign::spec::WaferMap;
-use icvbe_campaign::worker::{run_campaign_with, RunOptions};
 use icvbe_campaign::{run_campaign, CampaignRun, CampaignSpec};
-
-/// The scalar per-die ablation: lockstep batching forced off.
-fn run_unbatched(spec: &CampaignSpec, threads: usize) -> CampaignRun {
-    let options = RunOptions {
-        batch: 1,
-        ..RunOptions::default()
-    };
-    run_campaign_with(spec, threads, &options).expect("unbatched campaign run")
-}
 
 fn scaling_spec() -> CampaignSpec {
     // ~120 dies: big enough to amortize pool startup, small enough for a
@@ -76,11 +65,6 @@ fn bench_campaign_scaling(c: &mut Criterion) {
                 .iter()
                 .map(|t| format!("campaign_scaling/cold/threads/{t}")),
         )
-        .chain(
-            [1usize, 8]
-                .iter()
-                .map(|t| format!("campaign_scaling/no-batch/threads/{t}")),
-        )
         .collect();
     // Pay for the determinism guards only when something in the group
     // will actually be timed.
@@ -101,12 +85,6 @@ fn bench_campaign_scaling(c: &mut Criterion) {
         let spec = cold_spec();
         group.bench_function(&format!("cold/threads/{threads}"), move |b| {
             b.iter(|| run_campaign(&spec, threads).expect("campaign run"));
-        });
-    }
-    for threads in [1usize, 8] {
-        let spec = spec.clone();
-        group.bench_function(&format!("no-batch/threads/{threads}"), move |b| {
-            b.iter(|| run_unbatched(&spec, threads));
         });
     }
     group.finish();
@@ -138,27 +116,17 @@ fn run_guards() {
         one.aggregate, dense.aggregate,
         "aggregate must be solve-path invariant"
     );
-    let unbatched = run_unbatched(&spec, 8);
-    assert_eq!(
-        one.aggregate, unbatched.aggregate,
-        "aggregate must be batching invariant"
-    );
     // The libm-exp ablation swaps the exp kernel, so its accepted bits
     // legitimately differ from the vexp default — but it must still be
-    // thread-count *and* batching invariant within itself, and flipping
-    // the backend off again must restore the vexp bits exactly.
+    // thread-count invariant within itself, and flipping the backend off
+    // again must restore the vexp bits exactly.
     icvbe_numerics::vexp::set_libm_backend(true);
     let libm_one = run_campaign(&spec, 1).expect("libm 1-thread run");
     let libm_par = run_campaign(&spec, 8).expect("libm 8-thread run");
-    let libm_unbatched = run_unbatched(&spec, 8);
     icvbe_numerics::vexp::set_libm_backend(false);
     assert_eq!(
         libm_one.aggregate, libm_par.aggregate,
         "libm-exp ablation must stay thread-count invariant"
-    );
-    assert_eq!(
-        libm_one.aggregate, libm_unbatched.aggregate,
-        "libm-exp ablation must stay batching invariant"
     );
     let restored = run_campaign(&spec, 1).expect("post-ablation run");
     assert_eq!(
@@ -178,10 +146,6 @@ fn run_guards() {
         adaptive.metrics.solver.solves < one.metrics.solver.solves,
         "adaptive must reduce corner work on a clean wafer"
     );
-    assert!(
-        one.metrics.batching.batched_solves > 0 && unbatched.metrics.batching.batched_solves == 0,
-        "default run must batch, --batch 1 must not"
-    );
 }
 
 /// One throughput measurement: median wall time over `reps` runs.
@@ -192,16 +156,12 @@ struct Throughput {
     dies_per_second: f64,
 }
 
-fn measure(spec: &CampaignSpec, threads: usize, batch: usize, reps: usize) -> (f64, CampaignRun) {
-    let options = RunOptions {
-        batch,
-        ..RunOptions::default()
-    };
+fn measure(spec: &CampaignSpec, threads: usize, reps: usize) -> (f64, CampaignRun) {
     let mut last = None;
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
-            let run = run_campaign_with(spec, threads, &options).expect("campaign run");
+            let run = run_campaign(spec, threads).expect("campaign run");
             let ms = t.elapsed().as_secs_f64() * 1e3;
             last = Some(run);
             ms
@@ -231,30 +191,27 @@ fn bench_campaign_throughput(c: &mut Criterion) {
 
     let mut rows = Vec::new();
     let modes = [
-        ("warm", &warm, 0usize, false),
-        ("no-batch", &warm, 1, false),
-        ("libm-exp", &warm, 0, true),
-        ("no-bypass", &no_bypass, 0, false),
-        ("dense", &dense, 0, false),
-        ("cold", &cold, 0, false),
-        ("adaptive", &adaptive, 0, false),
+        ("warm", &warm, false),
+        ("libm-exp", &warm, true),
+        ("no-bypass", &no_bypass, false),
+        ("dense", &dense, false),
+        ("cold", &cold, false),
+        ("adaptive", &adaptive, false),
     ];
     let mut solves_by_mode: Vec<(&str, u64)> = Vec::new();
-    for (mode, spec, batch, libm) in modes {
+    for (mode, spec, libm) in modes {
         icvbe_numerics::vexp::set_libm_backend(libm);
         for threads in [1usize, 8] {
-            let (median_ms, run) = measure(spec, threads, batch, reps);
+            let (median_ms, run) = measure(spec, threads, reps);
             let dies_per_second = dies as f64 / (median_ms / 1e3);
             println!(
                 "campaign_throughput/{mode}/threads/{threads:<2} median {median_ms:7.2} ms -> \
                  {dies_per_second:7.1} dies/s ({dies} dies, {} solves, {} Newton iters, \
-                 {} bypasses, {} evals, {:.0}% lane-kernel, {:.1} lanes/round)",
+                 {} bypasses, {} evals)",
                 run.metrics.solver.solves,
                 run.metrics.solver.newton_iterations,
                 run.metrics.solver.bypass_hits,
                 run.metrics.solver.device_evals,
-                run.metrics.solver.lane_eval_share() * 100.0,
-                run.metrics.batching.mean_lanes_active(),
             );
             rows.push(Throughput {
                 mode,

@@ -8,8 +8,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use icvbe_instrument::bench::BatchSweepStats;
-use icvbe_spice::batch::MAX_LANES;
 use icvbe_spice::workspace::SolveStats;
 
 use crate::taxonomy::FailureKind;
@@ -176,9 +174,6 @@ pub struct CampaignCounters {
     pub warm_misses: AtomicU64,
     /// Full nonlinear device evaluations performed.
     pub device_evals: AtomicU64,
-    /// The subset of `device_evals` computed by the lane-array device
-    /// kernel of the batched driver (the vexp lane path).
-    pub lane_evals: AtomicU64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: AtomicU64,
     /// Device evaluations skipped by the tolerance bypass.
@@ -214,18 +209,6 @@ pub struct CampaignCounters {
     /// Resumes that fell back to the previous checkpoint generation
     /// because the latest slot was corrupt or truncated.
     pub checkpoint_generation_fallbacks: AtomicU64,
-    /// Solves that entered the lane-parallel batched Newton driver.
-    pub batched_solves: AtomicU64,
-    /// Lanes the batched driver retired mid-solve (factor failure,
-    /// divergence, non-finite state) and handed back to the scalar path.
-    pub lane_retires: AtomicU64,
-    /// Die groups packed into the batched pipeline (one refill per group).
-    pub batch_refills: AtomicU64,
-    /// Lockstep solve rounds the batched sweep issued.
-    pub lockstep_rounds: AtomicU64,
-    /// `lanes_active[k]` counts lockstep rounds with exactly `k` lanes in
-    /// batched stepping; bucket 0 counts all-scalar-fallback rounds.
-    pub lanes_active: [AtomicU64; MAX_LANES + 1],
 }
 
 impl CampaignCounters {
@@ -234,7 +217,7 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 26] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 21] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
@@ -245,7 +228,6 @@ impl CampaignCounters {
             ("warm_hits", &self.warm_hits),
             ("warm_misses", &self.warm_misses),
             ("device_evals", &self.device_evals),
-            ("lane_evals", &self.lane_evals),
             ("device_reuses", &self.device_reuses),
             ("bypass_hits", &self.bypass_hits),
             ("restamp_incremental", &self.restamp_incremental),
@@ -261,15 +243,11 @@ impl CampaignCounters {
                 "checkpoint_generation_fallbacks",
                 &self.checkpoint_generation_fallbacks,
             ),
-            ("batched_solves", &self.batched_solves),
-            ("lane_retires", &self.lane_retires),
-            ("batch_refills", &self.batch_refills),
-            ("lockstep_rounds", &self.lockstep_rounds),
         ]
     }
 
-    /// Pairwise merge for shard fan-in: every scalar, by-kind array, lane
-    /// bucket and histogram of `other` is added into `self`. All integer
+    /// Pairwise merge for shard fan-in: every scalar, by-kind array and
+    /// histogram of `other` is added into `self`. All integer
     /// addition — exactly associative and commutative, so any fold order
     /// yields the same counters.
     pub fn merge(&self, other: &CampaignCounters) {
@@ -282,9 +260,6 @@ impl CampaignCounters {
         self.newton_per_die.merge(&other.newton_per_die);
         self.selfheat_per_die.merge(&other.selfheat_per_die);
         for (a, b) in self.recovered_by_kind.iter().zip(&other.recovered_by_kind) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for (a, b) in self.lanes_active.iter().zip(&other.lanes_active) {
             a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
         }
     }
@@ -302,8 +277,6 @@ impl CampaignCounters {
             .fetch_add(stats.cold_starts, Ordering::Relaxed);
         self.device_evals
             .fetch_add(stats.device_evals, Ordering::Relaxed);
-        self.lane_evals
-            .fetch_add(stats.lane_evals, Ordering::Relaxed);
         self.device_reuses
             .fetch_add(stats.device_reuses, Ordering::Relaxed);
         self.bypass_hits
@@ -312,24 +285,8 @@ impl CampaignCounters {
             .fetch_add(stats.restamp_incremental, Ordering::Relaxed);
         self.restamp_full
             .fetch_add(stats.restamp_full, Ordering::Relaxed);
-        self.batched_solves
-            .fetch_add(stats.batched_solves, Ordering::Relaxed);
-        self.lane_retires
-            .fetch_add(stats.lane_retires, Ordering::Relaxed);
         self.newton_per_die.record_ns(stats.newton_iterations);
         self.selfheat_per_die.record_ns(selfheat_iterations);
-    }
-
-    /// Folds one die group's lane-utilization stats in (lock-free; any
-    /// worker thread). `refills` is the number of groups packed — one per
-    /// call on the batched worker path.
-    pub fn record_batch_sweep(&self, sweep: &BatchSweepStats, refills: u64) {
-        self.batch_refills.fetch_add(refills, Ordering::Relaxed);
-        self.lockstep_rounds
-            .fetch_add(sweep.rounds, Ordering::Relaxed);
-        for (slot, &n) in self.lanes_active.iter().zip(&sweep.lanes_active) {
-            slot.fetch_add(n, Ordering::Relaxed);
-        }
     }
 
     /// Folds one die's recovery bookkeeping in (lock-free; any worker
@@ -405,10 +362,6 @@ pub struct SolverMetrics {
     pub warm_start_misses: u64,
     /// Full nonlinear device evaluations performed.
     pub device_evals: u64,
-    /// The subset of [`SolverMetrics::device_evals`] computed by the
-    /// lane-array device kernel (`device_evals - lane_evals` ran through
-    /// the scalar in-stamp path).
-    pub lane_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
     /// Device evaluations skipped by the tolerance bypass.
@@ -457,18 +410,6 @@ impl SolverMetrics {
         }
     }
 
-    /// Fraction of the device evaluations actually performed that came
-    /// from the lane-array kernel rather than the scalar in-stamp path
-    /// (0 when none ran).
-    #[must_use]
-    pub fn lane_eval_share(&self) -> f64 {
-        if self.device_evals == 0 {
-            0.0
-        } else {
-            self.lane_evals as f64 / self.device_evals as f64
-        }
-    }
-
     /// Fraction of Jacobian passes that only restamped
     /// operating-point-dependent slots (0 when none ran).
     #[must_use]
@@ -479,42 +420,6 @@ impl SolverMetrics {
         } else {
             self.restamp_incremental as f64 / total as f64
         }
-    }
-}
-
-/// Lane-utilization observability of the batched (die-parallel) solve
-/// path. All zeros when the campaign ran scalar (`batch = 1`, or a spec
-/// that disables warm starts / the sparse path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchMetrics {
-    /// Solves that entered the lane-parallel batched Newton driver.
-    pub batched_solves: u64,
-    /// Lanes retired mid-solve and redone on the scalar path.
-    pub lane_retires: u64,
-    /// Die groups packed into the batched pipeline.
-    pub batch_refills: u64,
-    /// Lockstep solve rounds issued by the batched sweep.
-    pub lockstep_rounds: u64,
-    /// Rounds by the number of lanes that entered batched stepping
-    /// (bucket 0 = all lanes fell back to scalar that round).
-    pub lanes_active: [u64; MAX_LANES + 1],
-}
-
-impl BatchMetrics {
-    /// Mean lanes entering batched stepping per lockstep round (0 when no
-    /// rounds ran).
-    #[must_use]
-    pub fn mean_lanes_active(&self) -> f64 {
-        if self.lockstep_rounds == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .lanes_active
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| k as u64 * c)
-            .sum();
-        weighted as f64 / self.lockstep_rounds as f64
     }
 }
 
@@ -540,8 +445,6 @@ pub struct CampaignMetrics {
     pub stages: Vec<StageSnapshot>,
     /// Solver iteration counts and warm-start accounting.
     pub solver: SolverMetrics,
-    /// Lane-utilization accounting of the batched solve path.
-    pub batching: BatchMetrics,
     /// Retry / robust-recovery / quarantine accounting.
     pub recovery: RecoveryMetrics,
     /// Panic/budget containment and checkpoint-degradation accounting.
@@ -585,7 +488,6 @@ impl CampaignCounters {
                     warm_start_hits: self.warm_hits.load(Ordering::Relaxed),
                     warm_start_misses: self.warm_misses.load(Ordering::Relaxed),
                     device_evals: self.device_evals.load(Ordering::Relaxed),
-                    lane_evals: self.lane_evals.load(Ordering::Relaxed),
                     device_reuses: self.device_reuses.load(Ordering::Relaxed),
                     bypass_hits: self.bypass_hits.load(Ordering::Relaxed),
                     restamp_incremental: self.restamp_incremental.load(Ordering::Relaxed),
@@ -593,13 +495,6 @@ impl CampaignCounters {
                     newton_per_die_p50: newton.p50_ns,
                     newton_per_die_p99: newton.p99_ns,
                 }
-            },
-            batching: BatchMetrics {
-                batched_solves: self.batched_solves.load(Ordering::Relaxed),
-                lane_retires: self.lane_retires.load(Ordering::Relaxed),
-                batch_refills: self.batch_refills.load(Ordering::Relaxed),
-                lockstep_rounds: self.lockstep_rounds.load(Ordering::Relaxed),
-                lanes_active: std::array::from_fn(|i| self.lanes_active[i].load(Ordering::Relaxed)),
             },
             recovery: RecoveryMetrics {
                 corners_retried: self.corners_retried.load(Ordering::Relaxed),
@@ -774,8 +669,6 @@ mod tests {
         }
         a.recovered_by_kind[2].store(5, Ordering::Relaxed);
         b.recovered_by_kind[2].store(7, Ordering::Relaxed);
-        a.lanes_active[1].store(3, Ordering::Relaxed);
-        b.lanes_active[1].store(4, Ordering::Relaxed);
         a.stages[STAGE_SAMPLE].record_ns(10);
         b.stages[STAGE_SAMPLE].record_ns(1000);
         a.merge(&b);
@@ -783,7 +676,6 @@ mod tests {
             assert_eq!(c.load(Ordering::Relaxed), i as u64 + 1 + 100 + i as u64);
         }
         assert_eq!(a.recovered_by_kind[2].load(Ordering::Relaxed), 12);
-        assert_eq!(a.lanes_active[1].load(Ordering::Relaxed), 7);
         let s = a.stages[STAGE_SAMPLE].snapshot("sample");
         assert_eq!(s.count, 2);
         assert_eq!(s.total_ns, 1010);

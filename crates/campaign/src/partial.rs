@@ -34,7 +34,6 @@ use crate::json::{parse, Json};
 use crate::metrics::{CampaignCounters, LogHistogram, BUCKETS};
 use crate::taxonomy::FailureKind;
 use crate::CampaignError;
-use icvbe_spice::batch::MAX_LANES;
 use std::sync::atomic::Ordering;
 
 /// Schema tag carried by every partial-aggregate document.
@@ -167,20 +166,14 @@ fn counters_json(c: &CampaignCounters) -> String {
         .iter()
         .map(|v| v.load(Ordering::Relaxed))
         .collect();
-    let lanes: Vec<u64> = c
-        .lanes_active
-        .iter()
-        .map(|v| v.load(Ordering::Relaxed))
-        .collect();
     format!(
         concat!(
             "{{{scalars},\"recovered_by_kind\":{by_kind},",
-            "\"lanes_active\":{lanes},\"stages\":[{stages}],",
+            "\"stages\":[{stages}],",
             "\"newton_per_die\":{npd},\"selfheat_per_die\":{spd}}}"
         ),
         scalars = scalars.join(","),
         by_kind = u64_list_json(&by_kind),
-        lanes = u64_list_json(&lanes),
         stages = stages.join(","),
         npd = hist_json(&c.newton_per_die),
         spd = hist_json(&c.selfheat_per_die),
@@ -194,10 +187,6 @@ fn counters_from(v: &Json) -> Result<CampaignCounters, CampaignError> {
     }
     let by_kind = u64_list_from::<{ FailureKind::COUNT }>(v, "recovered_by_kind")?;
     for (slot, n) in c.recovered_by_kind.iter().zip(by_kind) {
-        slot.store(n, Ordering::Relaxed);
-    }
-    let lanes = u64_list_from::<{ MAX_LANES + 1 }>(v, "lanes_active")?;
-    for (slot, n) in c.lanes_active.iter().zip(lanes) {
         slot.store(n, Ordering::Relaxed);
     }
     let stages = want(v, "stages")?
@@ -339,6 +328,41 @@ mod tests {
         let at = text.find("\"start_die\"").unwrap() + 2;
         flipped[at] ^= 0x01;
         assert!(partial_from_json(&String::from_utf8(flipped).unwrap()).is_err());
+    }
+
+    /// Re-signs `text` after an edit, exactly as the writer signs it.
+    fn with_fresh_checksum(text: &str) -> String {
+        let at = text.find("\"checksum\":\"").unwrap();
+        let (prefix, rest) = text.split_at(at);
+        let suffix = &rest["\"checksum\":\"".len() + 18..];
+        let mut h = fnv1a64(prefix.as_bytes());
+        for &b in suffix.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        format!("{prefix}\"checksum\":\"{h:016x}\",{suffix}")
+    }
+
+    #[test]
+    fn decode_accepts_documents_that_still_carry_lane_counters() {
+        // Partials written before the lane-batching driver was removed
+        // carry `lanes_active` and the batching scalars; decoding ignores
+        // them and yields the same partial.
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(1);
+        let text = partial_to_json(&shard_partial(&spec, 0, 4));
+        assert!(!text.contains("lane"));
+        let old = with_fresh_checksum(&text.replacen(
+            "\"counters\":{",
+            concat!(
+                "\"counters\":{\"lane_evals\":7,\"batched_solves\":3,",
+                "\"lane_retires\":0,\"batch_refills\":1,\"lockstep_rounds\":5,",
+                "\"lanes_active\":[0,0,0,0,5,0,0,0,0,0,0,0,0,0,0,0,0],"
+            ),
+            1,
+        ));
+        let back = partial_from_json(&old).unwrap();
+        assert_eq!(partial_to_json(&back), text);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! fields (`ts`, `tid`, `nd_*`) are masked; and tracing is passive — it
 //! never perturbs the physics it observes.
 
+use icvbe_campaign::metrics::STAGE_MEASURE;
 use icvbe_campaign::spec::{CampaignSpec, WaferMap};
 use icvbe_campaign::{run_campaign, run_campaign_with, CampaignRun, RunOptions};
 use icvbe_instrument::faults::FaultSpec;
@@ -126,6 +127,57 @@ fn trace_events_carry_deterministic_logical_fields() {
     // The top-N helpers rank real spans.
     assert_eq!(trace.slowest_dies(3).len(), 3);
     assert_eq!(trace.slowest_corners(3).len(), 3);
+}
+
+#[test]
+fn die_timings_account_for_one_die_each() {
+    // Every die span and stage timing covers that die's own work: a
+    // worker runs one die at a time, so its die spans never overlap, the
+    // per-die measure totals fit in the workers' wall time, and the
+    // median measure stage is one die's share of it — not a group's.
+    let threads = 2;
+    let run = traced(&spec(), threads);
+    let trace = trace_of(&run);
+    let dies = run.aggregate.dies;
+    assert!(dies > 16, "needs more dies than one claim chunk: {dies}");
+
+    let mut spans: Vec<(u32, u64, u64)> = Vec::new();
+    let mut open: Vec<Option<(u32, u64)>> = vec![None; dies as usize];
+    for e in trace.events.iter().filter(|e| e.kind == SpanKind::Die) {
+        match e.phase {
+            SpanPhase::Begin => open[e.die as usize] = Some((e.worker, e.ts_ns)),
+            SpanPhase::End => {
+                let (worker, begin) = open[e.die as usize].take().expect("die begins first");
+                assert_eq!(worker, e.worker, "die {} changed worker", e.die);
+                spans.push((worker, begin, e.ts_ns));
+            }
+        }
+    }
+    assert_eq!(spans.len() as u64, dies);
+    spans.sort_unstable();
+    for w in spans.windows(2) {
+        let ((wa, _, end), (wb, begin, _)) = (w[0], w[1]);
+        if wa == wb {
+            assert!(begin >= end, "worker {wa} ran two dies at once: {w:?}");
+        }
+    }
+
+    let measure = &run.metrics.stages[STAGE_MEASURE];
+    let worker_ns = run.metrics.elapsed_ns * threads as u64;
+    assert_eq!(measure.count, dies);
+    assert!(
+        measure.total_ns <= worker_ns,
+        "measure total {} ns exceeds {threads} workers x {} ns",
+        measure.total_ns,
+        run.metrics.elapsed_ns
+    );
+    // The p50 is a log2 bucket's upper bound, up to 2x the true median.
+    let per_die_ns = worker_ns / dies;
+    assert!(
+        measure.p50_ns <= 4 * per_die_ns,
+        "measure p50 {} ns is not one die's time (~{per_die_ns} ns)",
+        measure.p50_ns
+    );
 }
 
 #[test]

@@ -18,14 +18,13 @@
 use std::error::Error;
 use std::fmt;
 
-use icvbe_bandgap::pair::{CompiledPair, PairReading};
+use icvbe_bandgap::pair::CompiledPair;
 use icvbe_core::meijer::{MeijerMeasurement, MeijerPoint};
-use icvbe_spice::batch::{BatchWorkspace, MAX_LANES};
 use icvbe_spice::solver::{BypassOptions, DcOptions};
 use icvbe_spice::workspace::{SolveStats, SolveWorkspace};
 use icvbe_thermal::chamber::ThermalChamber;
 use icvbe_thermal::network::ThermalPath;
-use icvbe_thermal::selfheat::{solve_die_temperature, DieOperatingPoint};
+use icvbe_thermal::selfheat::solve_die_temperature;
 use icvbe_thermal::ThermalError;
 use icvbe_units::{Ampere, Celsius, Kelvin, Volt};
 
@@ -434,366 +433,6 @@ impl TestStructureBench {
     }
 }
 
-/// One die of a lane-batched sweep ([`run_pair_campaign_batch`]): its
-/// bench (instrument state), process sample, solver scratch and output
-/// buffer. The slices of a batch are parallel — lane `l` of every input
-/// belongs to the same die.
-#[derive(Debug)]
-pub struct BenchLane<'a> {
-    /// The lane's virtual bench (thermal path template + instruments).
-    pub bench: &'a mut TestStructureBench,
-    /// The lane's process sample.
-    pub sample: &'a DieSample,
-    /// The lane's solver scratch (workspace, counters, symbolic cache).
-    pub scratch: &'a mut BenchScratch,
-    /// The lane's measured points (cleared, then one per completed
-    /// setpoint).
-    pub out: &'a mut Vec<PairCampaignPoint>,
-}
-
-/// Lane-utilization observability of the batched sweep. Purely
-/// observational — identical campaigns produce identical aggregates at
-/// any utilization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchSweepStats {
-    /// Lockstep solve rounds issued (each round drives every lane that
-    /// currently needs a circuit solve).
-    pub rounds: u64,
-    /// `lanes_active[k]` counts rounds in which exactly `k` lanes entered
-    /// batched stepping; bucket 0 counts rounds that fell back entirely to
-    /// the scalar path (unprimed lanes, retired lanes).
-    pub lanes_active: [u64; MAX_LANES + 1],
-}
-
-impl Default for BatchSweepStats {
-    fn default() -> Self {
-        BatchSweepStats {
-            rounds: 0,
-            lanes_active: [0; MAX_LANES + 1],
-        }
-    }
-}
-
-impl BatchSweepStats {
-    /// Records one lockstep round with `entered` lanes stepping batched.
-    pub fn record_round(&mut self, entered: usize) {
-        self.rounds += 1;
-        self.lanes_active[entered.min(MAX_LANES)] += 1;
-    }
-
-    /// Accumulates another stats block (per-corner blocks into a per-die
-    /// or per-campaign total).
-    pub fn merge(&mut self, other: &BatchSweepStats) {
-        self.rounds += other.rounds;
-        for (a, b) in self.lanes_active.iter_mut().zip(&other.lanes_active) {
-            *a += b;
-        }
-    }
-
-    /// Mean lanes entering per round (0 when no rounds ran).
-    #[must_use]
-    pub fn mean_lanes(&self) -> f64 {
-        if self.rounds == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self
-            .lanes_active
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| k as u64 * c)
-            .sum();
-        weighted as f64 / self.rounds as f64
-    }
-}
-
-/// Per-lane circuit state of one batched sweep.
-struct LaneState {
-    compiled: Option<CompiledPair>,
-    path: Option<ThermalPath>,
-}
-
-/// One lockstep solve round: batch every masked lane that carries a warm
-/// seed, then scalar-solve the lanes the batch could not carry (unprimed
-/// first solves, retired lanes) — reproducing the scalar per-lane solve
-/// sequence bit for bit. Results land in `readings[l]` for masked lanes.
-#[allow(clippy::too_many_arguments)]
-fn solve_round(
-    lanes: &mut [BenchLane<'_>],
-    states: &mut [LaneState],
-    mask: &[bool],
-    temps: &[Kelvin],
-    options: &DcOptions,
-    batch: &mut BatchWorkspace,
-    stats: &mut BatchSweepStats,
-    readings: &mut [Option<Result<PairReading, icvbe_spice::SpiceError>>],
-) {
-    for r in readings.iter_mut() {
-        *r = None;
-    }
-    let selected: Vec<bool> = (0..lanes.len())
-        .map(|l| mask[l] && states[l].compiled.is_some())
-        .collect();
-    let sel: Vec<usize> = (0..lanes.len()).filter(|&l| selected[l]).collect();
-    if sel.is_empty() {
-        return;
-    }
-    let sel_temps: Vec<Kelvin> = sel.iter().map(|&l| temps[l]).collect();
-    let mut batched: Vec<Option<PairReading>> = vec![None; sel.len()];
-    {
-        let mut pairs: Vec<&mut CompiledPair> = Vec::with_capacity(sel.len());
-        for (l, s) in states.iter_mut().enumerate() {
-            if selected[l] {
-                if let Some(c) = s.compiled.as_mut() {
-                    pairs.push(c);
-                }
-            }
-        }
-        let mut workspaces: Vec<&mut SolveWorkspace> = Vec::with_capacity(sel.len());
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            if selected[l] {
-                workspaces.push(&mut lane.scratch.solve);
-            }
-        }
-        let entered = CompiledPair::measure_lanes(
-            &mut pairs,
-            &sel_temps,
-            options,
-            &mut workspaces,
-            batch,
-            &mut batched,
-        );
-        stats.record_round(entered);
-    }
-    for (i, &l) in sel.iter().enumerate() {
-        readings[l] = match batched[i] {
-            Some(r) => Some(Ok(r)),
-            None => {
-                // Scalar fallback: exactly the solve the scalar sweep
-                // performs at this point (the batched attempt only ever
-                // warmed the device caches with exact bits).
-                let Some(compiled) = states[l].compiled.as_mut() else {
-                    continue;
-                };
-                Some(compiled.measure_at(temps[l], options, &mut lanes[l].scratch.solve, true))
-            }
-        };
-    }
-}
-
-/// Runs the compiled setpoint sweep of up to [`MAX_LANES`] dies in
-/// lockstep: at every electro-thermal fixed-point iteration the lanes'
-/// circuit solves step through batched Newton together
-/// ([`icvbe_spice::batch::solve_dc_batch`] via
-/// [`CompiledPair::measure_lanes`]), while chamber physics, instrument
-/// reads and the fixed-point recurrence stay per-lane scalar.
-///
-/// Every lane's measured points are **bit-identical** to a solo
-/// [`TestStructureBench::run_pair_campaign_with`] on the same inputs: the
-/// per-lane solve sequence is preserved exactly (first solves prime
-/// scalar, warm solves batch, retired lanes redo the solve scalar), the
-/// thermal trajectory starts at ambient per setpoint as in the scalar
-/// sweep, and each lane's instruments see the same reading sequence.
-///
-/// `errors[l]` receives the first failure of lane `l` (after which the
-/// lane stops sweeping, like the scalar sweep's early return); it stays
-/// `None` for lanes that completed every setpoint. When batching cannot
-/// apply at all (`mode` without warm starts or sparse solving, or more
-/// lanes than [`MAX_LANES`]) every lane runs the scalar sweep unchanged.
-pub fn run_pair_campaign_batch(
-    lanes: &mut [BenchLane<'_>],
-    bias: Ampere,
-    setpoints: &[Celsius],
-    mode: SolveMode,
-    batch: &mut BatchWorkspace,
-    stats: &mut BatchSweepStats,
-    errors: &mut [Option<BenchError>],
-) {
-    for e in errors.iter_mut() {
-        *e = None;
-    }
-    let n = lanes.len();
-    if n == 0 || errors.len() != n {
-        return;
-    }
-    if n > MAX_LANES || !mode.warm_start || !mode.sparse {
-        for (lane, err) in lanes.iter_mut().zip(errors.iter_mut()) {
-            *err = lane
-                .bench
-                .run_pair_campaign_with(lane.sample, bias, setpoints, lane.scratch, lane.out, mode)
-                .err();
-        }
-        return;
-    }
-    let options = TestStructureBench::campaign_dc_options_with(mode);
-    let mut states: Vec<LaneState> = Vec::with_capacity(n);
-    for (lane, err) in lanes.iter_mut().zip(errors.iter_mut()) {
-        lane.out.clear();
-        let compiled = match lane.sample.pair_structure(bias).compile() {
-            Ok(mut c) => {
-                if let Some(cache) = &lane.scratch.symbolic_cache {
-                    c.use_symbolic_cache(std::sync::Arc::clone(cache));
-                }
-                Some(c)
-            }
-            Err(e) => {
-                *err = Some(e.into());
-                None
-            }
-        };
-        let path = match lane.bench.path.scaled(lane.sample.rth_scale) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                if err.is_none() {
-                    *err = Some(e.into());
-                }
-                None
-            }
-        };
-        states.push(LaneState { compiled, path });
-    }
-
-    let mut readings: Vec<Option<Result<PairReading, icvbe_spice::SpiceError>>> = vec![None; n];
-    for &setpoint in setpoints {
-        // Per-lane fixed-point state; the trajectory starts at ambient in
-        // every lane, exactly like the scalar sweep (seeding it would
-        // change the rounding of the converged die temperature).
-        let mut t = [Kelvin::new(0.0); MAX_LANES];
-        let mut ambient = [Kelvin::new(0.0); MAX_LANES];
-        let mut last_step = [f64::INFINITY; MAX_LANES];
-        let mut op = [None::<DieOperatingPoint>; MAX_LANES];
-        let mut iterating = [false; MAX_LANES];
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            if errors[l].is_some() || states[l].compiled.is_none() || states[l].path.is_none() {
-                continue;
-            }
-            let chamber = ThermalChamber::new(setpoint.to_kelvin(), lane.bench.chamber_offset);
-            ambient[l] = chamber.ambient();
-            t[l] = ambient[l];
-            iterating[l] = true;
-        }
-        // Lockstep electro-thermal fixed point: each round solves every
-        // still-iterating lane's circuit (batched), then advances each
-        // lane's under-relaxed recurrence with the scalar arithmetic.
-        for round in 0..60usize {
-            if !iterating[..n].iter().any(|&i| i) {
-                break;
-            }
-            solve_round(
-                lanes,
-                &mut states,
-                &iterating[..n],
-                &t[..n],
-                &options,
-                batch,
-                stats,
-                &mut readings,
-            );
-            for l in 0..n {
-                if !iterating[l] {
-                    continue;
-                }
-                let p_pair = match &readings[l] {
-                    Some(Ok(r)) => match states[l].compiled.as_ref() {
-                        Some(c) => c.structure().power_watts(r),
-                        None => 0.0,
-                    },
-                    // The scalar power closure maps a failed solve to
-                    // zero dissipation and keeps iterating.
-                    _ => 0.0,
-                };
-                let p = p_pair + lanes[l].bench.auxiliary_power_watts;
-                if !p.is_finite() || p < 0.0 {
-                    errors[l] = Some(BenchError::Thermal(ThermalError::parameter(format!(
-                        "power callback returned {p} W at {}",
-                        t[l]
-                    ))));
-                    iterating[l] = false;
-                    continue;
-                }
-                let Some(path) = states[l].path.as_ref() else {
-                    iterating[l] = false;
-                    continue;
-                };
-                let target = path.die_temperature(ambient[l], p);
-                let step = target.value() - t[l].value();
-                last_step[l] = step.abs();
-                t[l] = Kelvin::new(t[l].value() + 0.8 * step);
-                if last_step[l] < 1e-4 {
-                    op[l] = Some(DieOperatingPoint {
-                        temperature: t[l],
-                        power_watts: p,
-                        iterations: round + 1,
-                    });
-                    iterating[l] = false;
-                }
-            }
-        }
-        let mut finished = [false; MAX_LANES];
-        let mut die_temp = [Kelvin::new(0.0); MAX_LANES];
-        for l in 0..n {
-            if iterating[l] {
-                // Budget exhausted without convergence: the scalar sweep's
-                // thermal-runaway error.
-                errors[l] = Some(BenchError::Thermal(ThermalError::NoConvergence {
-                    iterations: 60,
-                    last_step: last_step[l],
-                }));
-                iterating[l] = false;
-            }
-            if let Some(d) = op[l] {
-                lanes[l].scratch.selfheat_iterations += d.iterations as u64;
-                finished[l] = true;
-                die_temp[l] = d.temperature;
-            }
-        }
-        // The measurement solve at the converged junction temperature,
-        // again in lockstep; a failed lane records the scalar sweep's
-        // circuit error.
-        solve_round(
-            lanes,
-            &mut states,
-            &finished[..n],
-            &die_temp[..n],
-            &options,
-            batch,
-            stats,
-            &mut readings,
-        );
-        for l in 0..n {
-            if !finished[l] {
-                continue;
-            }
-            let (Some(d), Some(path)) = (op[l], states[l].path.as_ref()) else {
-                continue;
-            };
-            let reading = match readings[l].take() {
-                Some(Ok(r)) => r,
-                Some(Err(e)) => {
-                    errors[l] = Some(e.into());
-                    continue;
-                }
-                None => continue,
-            };
-            let lane = &mut lanes[l];
-            let chamber = ThermalChamber::new(setpoint.to_kelvin(), lane.bench.chamber_offset);
-            let case = chamber.sensor_reading(path, d.power_watts);
-            let bench = &mut *lane.bench;
-            let sensor_temperature = bench.sensor.read(case);
-            let point = PairCampaignPoint {
-                setpoint: setpoint.to_kelvin(),
-                sensor_temperature,
-                die_temperature: d.temperature,
-                vbe_a: bench.smu.measure_voltage(reading.vbe_a),
-                vbe_b: bench.smu.measure_voltage(reading.vbe_b),
-                dvbe: bench.smu.measure_voltage(reading.dvbe),
-                ic_a: bench.smu.measure_current(reading.ic_a),
-                ic_b: bench.smu.measure_current(reading.ic_b),
-            };
-            lane.out.push(point);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,140 +566,6 @@ mod tests {
             assert!((a.die_temperature.value() - b.die_temperature.value()).abs() < 1e-6);
             assert!((a.dvbe.value() - b.dvbe.value()).abs() < 2e-6);
         }
-    }
-
-    #[test]
-    fn batched_sweep_is_bit_identical_to_scalar_sweeps() {
-        let setpoints: Vec<Celsius> = [-25.0, 25.0, 75.0].map(Celsius::new).to_vec();
-        let bias = Ampere::new(1e-6);
-        for lanes_n in [1usize, 2, 4] {
-            let samples: Vec<DieSample> = (0..lanes_n)
-                .map(|l| SampleFactory::seeded(21).draw(l + 1))
-                .collect();
-
-            // Scalar reference: each die swept solo.
-            let mut reference = Vec::new();
-            for (l, sample) in samples.iter().enumerate() {
-                let mut bench = TestStructureBench::paper_bench(100 + l as u64);
-                let mut scratch = BenchScratch::new();
-                let mut pts = Vec::new();
-                bench
-                    .run_pair_campaign_with(
-                        sample,
-                        bias,
-                        &setpoints,
-                        &mut scratch,
-                        &mut pts,
-                        SolveMode::default(),
-                    )
-                    .unwrap();
-                reference.push(pts);
-            }
-
-            // Batched run over fresh per-lane state.
-            let mut benches: Vec<TestStructureBench> = (0..lanes_n)
-                .map(|l| TestStructureBench::paper_bench(100 + l as u64))
-                .collect();
-            let mut scratches: Vec<BenchScratch> =
-                (0..lanes_n).map(|_| BenchScratch::new()).collect();
-            let mut outs: Vec<Vec<PairCampaignPoint>> = vec![Vec::new(); lanes_n];
-            let mut lanes: Vec<BenchLane<'_>> = benches
-                .iter_mut()
-                .zip(samples.iter())
-                .zip(scratches.iter_mut())
-                .zip(outs.iter_mut())
-                .map(|(((bench, sample), scratch), out)| BenchLane {
-                    bench,
-                    sample,
-                    scratch,
-                    out,
-                })
-                .collect();
-            let mut batch = BatchWorkspace::new();
-            let mut stats = BatchSweepStats::default();
-            let mut errors: Vec<Option<BenchError>> = (0..lanes_n).map(|_| None).collect();
-            run_pair_campaign_batch(
-                &mut lanes,
-                bias,
-                &setpoints,
-                SolveMode::default(),
-                &mut batch,
-                &mut stats,
-                &mut errors,
-            );
-            drop(lanes);
-
-            for l in 0..lanes_n {
-                assert!(errors[l].is_none(), "lane {l} failed ({lanes_n} lanes)");
-                assert_eq!(
-                    outs[l], reference[l],
-                    "lane {l} diverged from its scalar sweep ({lanes_n} lanes)"
-                );
-                assert_eq!(scratches[l].solve.stats.lane_retires, 0);
-                assert!(scratches[l].solve.stats.batched_solves > 0);
-            }
-            assert!(stats.rounds > 0);
-            // After the per-lane scalar prime, warm solves run batched:
-            // with every lane healthy the full-width bucket dominates.
-            assert!(
-                stats.lanes_active[lanes_n] > 0,
-                "no full-width round at {lanes_n} lanes: {:?}",
-                stats.lanes_active
-            );
-            assert!(stats.mean_lanes() > 0.0);
-        }
-    }
-
-    #[test]
-    fn batched_sweep_scalar_mode_fallback_matches() {
-        // A mode the lockstep driver cannot serve (no warm starts) must
-        // route every lane through the scalar sweep unchanged.
-        let setpoints: Vec<Celsius> = [-25.0, 75.0].map(Celsius::new).to_vec();
-        let bias = Ampere::new(1e-6);
-        let sample = SampleFactory::seeded(3).draw(2);
-        let mode = SolveMode {
-            warm_start: false,
-            ..SolveMode::default()
-        };
-
-        let mut ref_bench = TestStructureBench::paper_bench(9);
-        let mut ref_scratch = BenchScratch::new();
-        let mut ref_pts = Vec::new();
-        ref_bench
-            .run_pair_campaign_with(
-                &sample,
-                bias,
-                &setpoints,
-                &mut ref_scratch,
-                &mut ref_pts,
-                mode,
-            )
-            .unwrap();
-
-        let mut bench = TestStructureBench::paper_bench(9);
-        let mut scratch = BenchScratch::new();
-        let mut out = Vec::new();
-        let mut lanes = [BenchLane {
-            bench: &mut bench,
-            sample: &sample,
-            scratch: &mut scratch,
-            out: &mut out,
-        }];
-        let mut batch = BatchWorkspace::new();
-        let mut stats = BatchSweepStats::default();
-        let mut errors = [None];
-        run_pair_campaign_batch(
-            &mut lanes,
-            bias,
-            &setpoints,
-            mode,
-            &mut batch,
-            &mut stats,
-            &mut errors,
-        );
-        assert!(errors[0].is_none());
-        assert_eq!(out, ref_pts);
-        assert_eq!(stats.rounds, 0, "no lockstep rounds in a scalar mode");
     }
 
     #[test]

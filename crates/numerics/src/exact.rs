@@ -324,15 +324,24 @@ impl Wide {
     }
 
     /// Full signed multiply (exact).
+    ///
+    /// A zero digit adds nothing and starts no carry, so zero rows of
+    /// `self` and the zero low digits of `other` are skipped. A sum
+    /// scaled by `2^SCALE_EXP` keeps ~65 all-zero low digits; skipping
+    /// them turns ~70×70 digit products into the ~3×3 that carry data.
     #[must_use]
     pub fn mul(&self, other: &Wide) -> Wide {
         if self.is_zero() || other.is_zero() {
             return Wide::zero();
         }
+        let low = other.digits.iter().take_while(|&&d| d == 0).count();
         let mut digits = vec![0u64; self.digits.len() + other.digits.len() + 1];
         for (i, &a) in self.digits.iter().enumerate() {
+            if a == 0 {
+                continue;
+            }
             let mut carry: u128 = 0;
-            for (j, &b) in other.digits.iter().enumerate() {
+            for (j, &b) in other.digits.iter().enumerate().skip(low) {
                 let t = u128::from(digits[i + j]) + u128::from(a) * u128::from(b) + carry;
                 digits[i + j] = (t & 0xffff_ffff) as u64;
                 carry = t >> 32;
@@ -818,6 +827,64 @@ mod tests {
         let k = u64::MAX;
         let w = to_wide(1);
         assert_eq!(scaled(&w.mul_u64(k)), k as f64);
+    }
+
+    /// The plain schoolbook product `Wide::mul` must reproduce.
+    fn schoolbook(a: &Wide, b: &Wide) -> Wide {
+        let mut digits = vec![0u64; a.digits.len() + b.digits.len() + 1];
+        for (i, &x) in a.digits.iter().enumerate() {
+            let mut carry: u128 = 0;
+            for (j, &y) in b.digits.iter().enumerate() {
+                let t = u128::from(digits[i + j]) + u128::from(x) * u128::from(y) + carry;
+                digits[i + j] = (t & 0xffff_ffff) as u64;
+                carry = t >> 32;
+            }
+            let mut k = i + b.digits.len();
+            while carry > 0 {
+                let t = u128::from(digits[k]) + carry;
+                digits[k] = (t & 0xffff_ffff) as u64;
+                carry = t >> 32;
+                k += 1;
+            }
+        }
+        Wide {
+            neg: a.neg != b.neg,
+            digits,
+        }
+        .trim()
+    }
+
+    #[test]
+    fn mul_skipping_zero_digits_matches_schoolbook() {
+        // Operands shaped like scaled sums: a long run of zero low
+        // digits, a few data digits (some zero, some all-ones to force
+        // long carries), either sign — plus zero itself.
+        let mut rng = Mix(0x5eed_0e1a);
+        let operand = |rng: &mut Mix| -> Wide {
+            let zeros = (rng.next() % 72) as usize;
+            let data = (rng.next() % 6) as usize;
+            let mut digits = vec![0u64; zeros];
+            for _ in 0..data {
+                digits.push(match rng.next() % 4 {
+                    0 => 0,
+                    1 => 0xffff_ffff,
+                    _ => rng.next() & 0xffff_ffff,
+                });
+            }
+            Wide {
+                neg: rng.next() % 2 == 1,
+                digits,
+            }
+            .trim()
+        };
+        for _ in 0..2000 {
+            let (a, b) = (operand(&mut rng), operand(&mut rng));
+            assert_eq!(a.mul(&b), schoolbook(&a, &b), "{a:?} * {b:?}");
+            assert_eq!(b.mul(&a), schoolbook(&b, &a), "{b:?} * {a:?}");
+        }
+        let x = operand(&mut rng);
+        assert!(x.mul(&Wide::zero()).is_zero());
+        assert!(Wide::zero().mul(&x).is_zero());
     }
 
     #[test]

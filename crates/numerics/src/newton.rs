@@ -329,28 +329,6 @@ pub fn solve_newton_with(
     Ok(info)
 }
 
-/// Runs only the exact-mode polish/canonicalization stage of
-/// [`solve_newton_with`] on an iterate that has already been driven to
-/// convergence by other means (e.g. a lane of a batched Newton driver).
-/// Returns the polish iteration count. Bit-for-bit, this is the
-/// `options.polish` tail of `solve_newton_with`: the fixed point is a pure
-/// function of the system, so polishing a converged iterate yields the
-/// same bits regardless of which driver produced it.
-pub fn polish_converged(
-    system: &impl NonlinearSystem,
-    x: &mut [f64],
-    ws: &mut NewtonWorkspace,
-) -> usize {
-    if x.len() != system.dimension() {
-        return 0;
-    }
-    ws.ensure(x.len());
-    system.set_exact(true);
-    let iterations = polish_to_fixed_point(system, x, ws);
-    system.set_exact(false);
-    iterations
-}
-
 /// Re-verifies an accept-candidate residual against the exact system when
 /// the current evaluation mode is approximate (device bypass armed).
 /// Updates `f` and `fnorm` in place; a no-op for ordinary systems. The

@@ -6,11 +6,12 @@
 //! `f64::exp` goes through the platform libm: a scalar call with
 //! data-dependent branches whose exact bits vary across hosts and libc
 //! versions. That pins the solver's hot loop to scalar code (the
-//! lane-batched Newton path of `icvbe-spice` cannot vectorize around an
-//! opaque call) and makes golden fixtures host-specific. This module
-//! replaces it with a fixed arithmetic pipeline — Cody–Waite two-term
-//! argument reduction, a degree-12 minimax polynomial, exponent scaling by
-//! integer bit construction — that is:
+//! per-device junction-exponential block of `icvbe-spice` cannot
+//! vectorize around an opaque call) and makes golden fixtures
+//! host-specific. This module replaces it with a fixed arithmetic
+//! pipeline — Cody–Waite two-term argument reduction, a degree-12
+//! minimax polynomial, exponent scaling by integer bit construction —
+//! that is:
 //!
 //! - **deterministic across platforms**: pure IEEE-754 double arithmetic
 //!   and integer ops, no fused multiply-add (Rust never contracts `a*b+c`
@@ -19,7 +20,7 @@
 //!   the lane form is straight-line code the compiler auto-vectorizes;
 //! - **bit-identical in all three forms**: [`vexp`], [`vexp_lanes`] and
 //!   [`vexp_slice`] all route through one `#[inline(always)]` core, so
-//!   scalar and batched solver paths agree by construction.
+//!   the scalar and slice call sites agree by construction.
 //!
 //! Accuracy is within 2 ulp of a correctly-rounded `exp` over the solver's
 //! operating range (`|x| ≤ 120`, the `limexp` linearization region and far
@@ -194,9 +195,9 @@ pub fn vexp_lanes<const N: usize>(xs: &[f64; N]) -> [f64; N] {
 }
 
 /// Slice form for variable-length batches (robust/IRLS model paths, the
-/// lane-batched device kernels): `out[i] = e^(xs[i])`, bit-identical to
-/// [`vexp`] per element. The backend switch is read once, outside the
-/// loop.
+/// per-device junction block in `limexp_lanes`): `out[i] = e^(xs[i])`,
+/// bit-identical to [`vexp`] per element. The backend switch is read
+/// once, outside the loop.
 ///
 /// # Panics
 ///

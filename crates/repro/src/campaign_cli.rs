@@ -4,8 +4,8 @@
 //! ```text
 //! repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR] [--cold]
 //!                [--no-bypass] [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]
-//!                [--batch N] [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N]
-//!                [--die-wall-ms MS] [--shards N] [--adaptive | --exhaustive] [--libm-exp]
+//!                [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N] [--die-wall-ms MS]
+//!                [--shards N] [--adaptive | --exhaustive] [--libm-exp]
 //! ```
 //!
 //! `--dies N` picks the smallest circular wafer holding at least `N`
@@ -43,14 +43,6 @@
 //! spent `N` Newton iterations (`budget_exhausted`, deterministic);
 //! `--die-wall-ms` is the wall-clock analogue and the one knowingly
 //! nondeterministic knob.
-//!
-//! `--batch N` sets the lane count of the batched die-parallel solve
-//! path: workers pack `N` same-corner dies into structure-of-arrays lanes
-//! and step them through Newton in lockstep over one frozen sparse plan.
-//! `--batch 1` forces the scalar per-die path (the ablation baseline);
-//! the default (`0` = auto) picks a full claim chunk. Accepted results
-//! are bit-identical at every setting — the summary's `batching:` line
-//! reports lane utilization.
 //!
 //! `--libm-exp` swaps the in-tree `vexp` exponential kernel for libm's
 //! `f64::exp` everywhere — the benchmarking ablation of the vectorizable
@@ -102,9 +94,6 @@ pub struct CampaignCliArgs {
     /// Where the trace artifacts go (`None` = `--out` dir, else the
     /// ignored `artifacts/` directory).
     pub trace_dir: Option<PathBuf>,
-    /// Lanes per die group on the batched solve path (`0` = auto, `1` =
-    /// scalar ablation). Bit-identical results at every setting.
-    pub batch: usize,
     /// Environment-fault injection (`--chaos`): the campaign subcommand
     /// consults only the die-panic knob; write/socket faults act in the
     /// service. All-zero (the default) = off.
@@ -146,7 +135,6 @@ impl Default for CampaignCliArgs {
             robust: true,
             trace: false,
             trace_dir: None,
-            batch: 0,
             chaos: ChaosSpec::none(),
             chaos_seed: 0,
             die_iter_budget: 0,
@@ -235,14 +223,6 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
             "--no-robust" => {
                 out.robust = false;
             }
-            "--batch" => {
-                let v = value("--batch", it.next())?;
-                out.batch = v.parse().map_err(|_| format!("bad --batch value {v:?}"))?;
-            }
-            other if other.starts_with("--batch=") => {
-                let v = &other["--batch=".len()..];
-                out.batch = v.parse().map_err(|_| format!("bad --batch value {v:?}"))?;
-            }
             "--chaos" => {
                 let v = value("--chaos", it.next())?;
                 out.chaos = ChaosSpec::parse(&v).map_err(|e| e.detail)?;
@@ -297,7 +277,7 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                     "unknown campaign argument {other:?} \
                      (usage: campaign [--dies N | --diameter D] [--threads N] [--seed S] \
                      [--out DIR] [--cold] [--no-bypass] [--faults SPEC] [--retries N] \
-                     [--no-robust] [--trace[=DIR]] [--batch N] [--chaos SPEC] \
+                     [--no-robust] [--trace[=DIR]] [--chaos SPEC] \
                      [--chaos-seed S] [--die-iter-budget N] [--die-wall-ms MS] \
                      [--shards N] [--adaptive | --exhaustive] [--libm-exp])"
                 ));
@@ -431,28 +411,6 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  device evals: {:.1}% lane-kernel ({} lane, {} scalar in-stamp), \
-         {} absorbed by exact-bit memo",
-        solver.lane_eval_share() * 100.0,
-        solver.lane_evals,
-        solver.device_evals - solver.lane_evals,
-        solver.device_reuses,
-    );
-    let batching = &run.metrics.batching;
-    if batching.batch_refills > 0 {
-        let _ = writeln!(
-            s,
-            "  batching: {} lane-solves in {} lockstep rounds \
-             ({:.1} lanes/round mean), {} die groups, {} lane retires",
-            batching.batched_solves,
-            batching.lockstep_rounds,
-            batching.mean_lanes_active(),
-            batching.batch_refills,
-            batching.lane_retires,
-        );
-    }
-    let _ = writeln!(
-        s,
         "\n  stage timings (p50/p99 per die): {}",
         run.metrics
             .stages
@@ -512,14 +470,13 @@ fn fmt_ns(ns: u64) -> String {
 pub fn help() -> String {
     "repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR]\n\
      \x20              [--cold] [--no-bypass] [--faults SPEC] [--retries N] [--no-robust]\n\
-     \x20              [--trace[=DIR]] [--batch N] [--chaos SPEC] [--chaos-seed S]\n\
+     \x20              [--trace[=DIR]] [--chaos SPEC] [--chaos-seed S]\n\
      \x20              [--die-iter-budget N] [--die-wall-ms MS] [--shards N]\n\
      \x20              [--adaptive | --exhaustive] [--libm-exp]\n\
      \n\
      Runs a wafer-scale IC(VBE) extraction campaign and prints a summary;\n\
      --out writes the JSON/CSV report artifacts (bit-identical at any\n\
-     --threads value and any --batch lane count; --batch 1 is the scalar\n\
-     ablation baseline).\n\
+     --threads value).\n\
      \n\
      --chaos SPEC injects environment faults (presets light/heavy or k=v\n\
      pairs: die_panic=P, write_error=P, short_write=P, torn=P, stall=P,\n\
@@ -540,7 +497,7 @@ pub fn help() -> String {
      full-plan ablation (the default). --libm-exp routes every exp through\n\
      libm instead of the in-tree vexp kernel — the benchmarking ablation;\n\
      it changes the accepted bits and propagates into shard workers, so\n\
-     artifacts stay byte-identical across threads/batch/shards either way.\n\
+     artifacts stay byte-identical across threads/shards either way.\n\
      \n\
      Exit codes:\n\
      \x20 0  campaign ran and at least one corner measurement passed the spec window\n\
@@ -585,7 +542,6 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
         let opts = ShardOptions {
             shards: cli.shards,
             threads: cli.threads,
-            batch: cli.batch,
             budget,
             libm_exp: cli.libm_exp,
             worker_exe: None,
@@ -594,7 +550,6 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
     } else {
         let options = RunOptions {
             trace: cli.trace,
-            batch: cli.batch,
             chaos: cli.chaos,
             chaos_seed: cli.chaos_seed,
             budget,
@@ -829,43 +784,8 @@ mod tests {
         assert!(parse_args(&sv(&["--shards", "2", "--chaos", "die_panic=0.5"])).is_err());
         // --exhaustive alone is the explicit default, always valid.
         assert!(parse_args(&sv(&["--exhaustive"])).is_ok());
-    }
-
-    #[test]
-    fn parses_batch_flag() {
-        let a = parse_args(&sv(&["--batch", "4"])).unwrap();
-        assert_eq!(a.batch, 4);
-        let b = parse_args(&sv(&["--batch=1"])).unwrap();
-        assert_eq!(b.batch, 1);
-        assert_eq!(parse_args(&sv(&[])).unwrap().batch, 0, "default is auto");
-        assert!(parse_args(&sv(&["--batch", "many"])).is_err());
-        assert!(parse_args(&sv(&["--batch"])).is_err());
-    }
-
-    #[test]
-    fn batch_ablation_changes_only_solver_effort_lines() {
-        let batched = run_cli(&sv(&["--diameter", "3", "--threads", "1", "--seed", "9"])).unwrap();
-        let scalar = run_cli(&sv(&[
-            "--diameter",
-            "3",
-            "--threads",
-            "1",
-            "--seed",
-            "9",
-            "--batch",
-            "1",
-        ]))
-        .unwrap();
-        assert!(batched.contains("batching:"), "summary:\n{batched}");
-        assert!(!scalar.contains("batching:"), "summary:\n{scalar}");
-        // The corner table (the physics) is identical; only timing and
-        // solver-effort lines may differ between the two modes.
-        let physics = |s: &str| {
-            let start = s.find("\n\n  corner").unwrap();
-            let end = s.find("\n\n  solver:").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(physics(&batched), physics(&scalar));
+        // There is no lane-count flag.
+        assert!(parse_args(&sv(&["--batch", "4"])).is_err());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! | direction | line |
 //! |---|---|
-//! | supervisor → worker | `{"cmd":"shard_run","version":1,"shard":i,"start_die":a,"end_die":b,"threads":t,"batch":n,"die_iter_budget":x,"die_wall_ms":y,"libm_exp":0|1,"spec":{...}}` |
+//! | supervisor → worker | `{"cmd":"shard_run","version":1,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"libm_exp":0|1,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
 //! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v1"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
@@ -146,9 +146,6 @@ pub struct ShardOptions {
     pub shards: usize,
     /// Worker threads **per shard**.
     pub threads: usize,
-    /// Batched-solve lane request forwarded to every worker (see
-    /// `RunOptions::batch`).
-    pub batch: usize,
     /// Per-die solve containment budget forwarded to every worker.
     pub budget: DieBudget,
     /// Route worker exponentials through libm instead of the in-tree
@@ -166,7 +163,6 @@ impl Default for ShardOptions {
         ShardOptions {
             shards: 1,
             threads: 1,
-            batch: 0,
             budget: DieBudget::default(),
             libm_exp: false,
             worker_exe: None,
@@ -205,7 +201,7 @@ pub fn shard_request_line(
         concat!(
             "{{\"cmd\":\"shard_run\",\"version\":{version},\"shard\":{shard},",
             "\"start_die\":{start},\"end_die\":{end},\"threads\":{threads},",
-            "\"batch\":{batch},\"die_iter_budget\":{iters},",
+            "\"die_iter_budget\":{iters},",
             "\"die_wall_ms\":{wall},\"libm_exp\":{libm},\"spec\":{spec}}}"
         ),
         version = SHARD_PROTOCOL_VERSION,
@@ -213,7 +209,6 @@ pub fn shard_request_line(
         start = range.0,
         end = range.1,
         threads = opts.threads,
-        batch = opts.batch,
         iters = opts.budget.max_newton_iterations,
         wall = opts.budget.max_wall_ms,
         libm = u8::from(opts.libm_exp),
@@ -454,7 +449,6 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
     let start_die = field("start_die")? as usize;
     let end_die = field("end_die")? as usize;
     let threads = field("threads")?.max(1) as usize;
-    let batch = field("batch")? as usize;
     let budget = DieBudget {
         max_newton_iterations: field("die_iter_budget")?,
         max_wall_ms: field("die_wall_ms")?,
@@ -503,7 +497,6 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
     let options = StreamOptions {
         start_die,
         counters: Some(Arc::clone(&counters)),
-        batch,
         budget,
         ..StreamOptions::default()
     };
@@ -578,7 +571,6 @@ mod tests {
         let opts = ShardOptions {
             shards: 2,
             threads: 3,
-            batch: 4,
             libm_exp: true,
             ..ShardOptions::default()
         };
@@ -590,8 +582,36 @@ mod tests {
         assert_eq!(v.get("end_die").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("threads").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("libm_exp").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            v.get("batch"),
+            None,
+            "the request no longer names a lane count"
+        );
         let decoded = spec_from_value(v.get("spec").unwrap()).unwrap();
         assert_eq!(decoded, spec);
+    }
+
+    #[test]
+    fn worker_accepts_an_old_request_line_that_still_carries_batch() {
+        // Request lines from before the lane-batching driver was removed
+        // carry a `"batch"` lane count; a worker ignores it and runs the
+        // same slice to the same partial.
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(1);
+        let old = format!(
+            concat!(
+                "{{\"cmd\":\"shard_run\",\"version\":1,\"shard\":0,",
+                "\"start_die\":0,\"end_die\":4,\"threads\":1,",
+                "\"batch\":4,\"die_iter_budget\":0,",
+                "\"die_wall_ms\":0,\"libm_exp\":0,\"spec\":{}}}"
+            ),
+            spec_to_json(&spec)
+        );
+        let new = shard_request_line(&spec, 0, (0, 4), &ShardOptions::default());
+        let from_old = partial_from_json(&shard_worker_run(&old).unwrap()).unwrap();
+        let from_new = partial_from_json(&shard_worker_run(&new).unwrap()).unwrap();
+        assert_eq!(from_old.aggregate, from_new.aggregate);
+        assert_eq!((from_old.start_die, from_old.end_die), (0, 4));
     }
 
     #[test]

@@ -50,7 +50,6 @@
 #![deny(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod batch;
 pub mod bjt;
 pub mod cache;
 pub mod element;

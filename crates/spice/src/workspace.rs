@@ -50,9 +50,6 @@ pub struct SolveStats {
     pub ladder_exhausted: u64,
     /// Full device evaluations performed.
     pub device_evals: u64,
-    /// The subset of [`SolveStats::device_evals`] computed by the
-    /// lane-array device kernel of the batched driver.
-    pub lane_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
     /// Device evaluations skipped by the tolerance bypass.
@@ -61,12 +58,6 @@ pub struct SolveStats {
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element.
     pub restamp_full: u64,
-    /// Warm solves completed through the lane-batched driver
-    /// ([`crate::batch::solve_dc_batch`]).
-    pub batched_solves: u64,
-    /// Batched solve attempts that retired this lane to the scalar path
-    /// (factor failure, divergence, or a non-finite residual).
-    pub lane_retires: u64,
 }
 
 impl SolveStats {
@@ -95,9 +86,9 @@ pub struct DcSolveInfo {
 /// perform no heap allocation at all.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
-    pub(crate) newton: NewtonWorkspace,
-    pub(crate) x: Vec<f64>,
-    pub(crate) x0: Vec<f64>,
+    newton: NewtonWorkspace,
+    x: Vec<f64>,
+    x0: Vec<f64>,
     /// Counters accumulated across every solve through this workspace.
     pub stats: SolveStats,
     /// Span capture for the solves driven through this workspace. Disabled
@@ -120,7 +111,7 @@ impl SolveWorkspace {
         &self.x
     }
 
-    pub(crate) fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) {
         if self.x.len() != n {
             self.x.resize(n, 0.0);
             self.x0.resize(n, 0.0);
@@ -131,10 +122,9 @@ impl SolveWorkspace {
 /// Drains the assembly's per-solve stamp counters into the workspace
 /// stats and returns the solve's bypass-hit count (for the solve span
 /// payload).
-pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
+fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
     let effort = assembly.take_stamp_effort();
     ws.stats.device_evals += effort.device_evals;
-    ws.stats.lane_evals += effort.lane_evals;
     ws.stats.device_reuses += effort.device_reuses;
     ws.stats.bypass_hits += effort.bypass_hits;
     ws.stats.restamp_incremental += effort.restamp_incremental;
@@ -144,7 +134,7 @@ pub(crate) fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) 
 
 /// Books a successful solve into the stats, closes the rung and solve
 /// spans, and builds the info.
-pub(crate) fn rung_succeeded(
+fn rung_succeeded(
     ws: &mut SolveWorkspace,
     assembly: &CircuitAssembly,
     strategy: SolveStrategy,
@@ -560,13 +550,10 @@ mod tests {
             ladder_success: [1, 2, 0, 0],
             ladder_exhausted: 0,
             device_evals: 42,
-            lane_evals: 7,
             device_reuses: 9,
             bypass_hits: 4,
             restamp_incremental: 11,
             restamp_full: 3,
-            batched_solves: 0,
-            lane_retires: 0,
         };
         let taken = stats.take();
         assert_eq!(taken.solves, 3);

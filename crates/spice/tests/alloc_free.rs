@@ -183,85 +183,6 @@ fn steady_state_bypassed_solves_do_not_allocate() {
     assert!(stats.device_reuses > 0, "{stats:?}");
 }
 
-#[test]
-fn steady_state_batched_solves_do_not_allocate() {
-    // The lane-parallel driver extends the same contract: once each
-    // lane's workspace has armed its frozen sparse plan and the shared
-    // BatchWorkspace has been sized by a first batched call, lockstep
-    // solves run entirely out of the lane-strided buffers.
-    use icvbe_spice::batch::{solve_dc_batch, BatchWorkspace, LaneCtx, LaneOutcome};
-
-    const LANES: usize = 4;
-    let circuits: [Circuit; LANES] = std::array::from_fn(|_| test_cell());
-    let assemblies: [CircuitAssembly; LANES] =
-        std::array::from_fn(|l| CircuitAssembly::new(&circuits[l]).unwrap());
-    let mut opts = DcOptions::default();
-    opts.newton.polish = true;
-    let mut workspaces: [SolveWorkspace; LANES] = std::array::from_fn(|_| SolveWorkspace::new());
-
-    // Scalar warm-up per lane: size the buffers, record the stamp plan,
-    // arm and bind the frozen symbolic factorization, produce a warm seed.
-    let t0 = Kelvin::new(298.15);
-    let mut seeds: Vec<Vec<f64>> = Vec::new();
-    for ((c, a), ws) in circuits.iter().zip(&assemblies).zip(workspaces.iter_mut()) {
-        solve_dc_with(c, a, t0, &opts, None, ws).unwrap();
-        let seed: Vec<f64> = ws.solution().to_vec();
-        solve_dc_with(c, a, t0, &opts, Some(&seed), ws).unwrap();
-        seeds.push(seed);
-    }
-
-    // Batched warm-up: the first lockstep call sizes the lane-strided
-    // state and factor storage.
-    let mut batch = BatchWorkspace::new();
-    {
-        let ctx: [LaneCtx<'_>; LANES] = std::array::from_fn(|l| LaneCtx {
-            circuit: &circuits[l],
-            assembly: &assemblies[l],
-            temperature: t0,
-            seed: &seeds[l],
-        });
-        let mut ws_refs = workspaces.each_mut();
-        let mut outcomes = [LaneOutcome::Retired; LANES];
-        let entered = solve_dc_batch(&ctx, &opts, &mut ws_refs, &mut batch, &mut outcomes);
-        assert_eq!(entered, LANES, "warm-up batch must carry every lane");
-    }
-
-    // Steady state: lockstep rounds at changing temperatures must not
-    // touch the heap.
-    let (allocs, reallocs, entered_total) = count_allocations(|| {
-        let mut total = 0usize;
-        for &t in &[260.15, 298.15, 335.15] {
-            let ctx: [LaneCtx<'_>; LANES] = std::array::from_fn(|l| LaneCtx {
-                circuit: &circuits[l],
-                assembly: &assemblies[l],
-                temperature: Kelvin::new(t),
-                seed: &seeds[l],
-            });
-            let mut ws_refs = workspaces.each_mut();
-            let mut outcomes = [LaneOutcome::Retired; LANES];
-            total += solve_dc_batch(&ctx, &opts, &mut ws_refs, &mut batch, &mut outcomes);
-            assert!(
-                outcomes.iter().all(|o| matches!(o, LaneOutcome::Solved(_))),
-                "every lane must converge in lockstep"
-            );
-        }
-        total
-    });
-    assert_eq!(
-        entered_total,
-        3 * LANES,
-        "every lane must enter every round"
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state batched solves allocated {allocs} time(s)"
-    );
-    assert_eq!(
-        reallocs, 0,
-        "steady-state batched solves reallocated {reallocs} time(s)"
-    );
-}
-
 /// A small contaminated line-fit model: enough residuals to exercise the
 /// IRLS weight loop, MAD scale estimation and the weighted LM pass.
 struct LineModel {

@@ -106,35 +106,18 @@ for f in crates/serve/src/*.rs; do
   fi
 done
 
-echo "==> batch smoke: lockstep lane batching is live and bit-inert"
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --out "$smoke_dir/batch_auto" > /dev/null
-./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --batch 1 --out "$smoke_dir/batch_off" > /dev/null
-grep -q '"batched_solves":0[,}]' "$smoke_dir/batch_auto/campaign_metrics.json" && \
-  { echo "FAIL: default run took no batched solves"; exit 1; }
-grep -q '"batched_solves":0[,}]' "$smoke_dir/batch_off/campaign_metrics.json" || \
-  { echo "FAIL: --batch 1 still batched"; exit 1; }
-grep -q '"lane_evals":0[,}]' "$smoke_dir/batch_auto/campaign_metrics.json" && \
-  { echo "FAIL: default run fed no evals through the lane kernel"; exit 1; }
-for f in campaign_aggregate.json campaign_aggregate.csv \
-         campaign_quarantine.json campaign_quarantine.csv; do
-  cmp "$smoke_dir/batch_auto/$f" "$smoke_dir/batch_off/$f" || \
-    { echo "FAIL: $f differs batched vs --batch 1"; exit 1; }
-done
-
 echo "==> libm-exp smoke: ablation differs from vexp bits, invariant within itself"
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
   --libm-exp --out "$smoke_dir/libm_a" > /dev/null
 ./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
-  --libm-exp --batch 1 --shards 4 --out "$smoke_dir/libm_b" > /dev/null
-cmp -s "$smoke_dir/batch_auto/campaign_aggregate.json" \
+  --libm-exp --shards 4 --out "$smoke_dir/libm_b" > /dev/null
+cmp -s "$smoke_dir/bypass_on/campaign_aggregate.json" \
   "$smoke_dir/libm_a/campaign_aggregate.json" && \
   { echo "FAIL: --libm-exp produced the vexp bits (backend not switching)"; exit 1; }
 for f in campaign_aggregate.json campaign_aggregate.csv \
          campaign_quarantine.json campaign_quarantine.csv; do
   cmp "$smoke_dir/libm_a/$f" "$smoke_dir/libm_b/$f" || \
-    { echo "FAIL: $f differs across batch/shards under --libm-exp"; exit 1; }
+    { echo "FAIL: $f differs across shards under --libm-exp"; exit 1; }
 done
 
 echo "==> serve smoke: streamed artifacts match one-shot bytes; kill -9 + resume"
@@ -356,5 +339,14 @@ case "$probe_ad" in
 esac
 grep -q '"skipped":[1-9]' "$smoke_dir/adaptive/campaign_aggregate.json" || \
   { echo "FAIL: adaptive run on a clean wafer skipped nothing"; exit 1; }
+
+echo "==> campaign benchmark: builds against this tree; correctness gate holds"
+# A one-second pass of every workload. The benchmark exits nonzero when
+# its correctness gate fails (pinned aggregate digests; served artifacts
+# byte-equal to in-process runs), so a change that breaks the
+# benchmark's build or its accepted bits fails here.
+cargo run --release --quiet --offline --manifest-path campaign_bench/Cargo.toml -- \
+  --workload all --seconds 1 > "$smoke_dir/campaign_bench.out" || \
+  { echo "FAIL: campaign benchmark build or correctness gate"; exit 1; }
 
 echo "OK: all checks passed"
