@@ -127,7 +127,11 @@ impl PairStructure {
             qa,
             qb,
             warm: Vec::new(),
-            has_warm: false,
+            warm_t: 0.0,
+            prior: Vec::new(),
+            prior_t: 0.0,
+            carried: 0,
+            seed: Vec::new(),
         })
     }
 
@@ -243,10 +247,11 @@ pub struct PairReading {
 ///
 /// The electro-thermal fixed point re-solves the same circuit dozens of
 /// times per setpoint; a compiled pair builds and validates it once, and
-/// optionally carries the last converged solution forward as a Newton warm
-/// start. With polishing enabled in the solver options (see
-/// [`icvbe_numerics::newton::NewtonOptions::polish`]) the returned reading
-/// is bitwise independent of whether the warm start was used.
+/// optionally seeds Newton from the last two converged solutions,
+/// extrapolated linearly in temperature. With polishing enabled in the
+/// solver options (see [`icvbe_numerics::newton::NewtonOptions::polish`])
+/// the returned reading is bitwise independent of whether the warm start
+/// was used.
 #[derive(Debug)]
 pub struct CompiledPair {
     structure: PairStructure,
@@ -256,8 +261,16 @@ pub struct CompiledPair {
     vb: NodeId,
     qa: Bjt,
     qb: Bjt,
+    /// Last converged solution and its temperature (kelvin).
     warm: Vec<f64>,
-    has_warm: bool,
+    warm_t: f64,
+    /// The converged solution before `warm`, and its temperature.
+    prior: Vec<f64>,
+    prior_t: f64,
+    /// How many of `warm` and `prior` hold solutions (0, 1 or 2).
+    carried: u8,
+    /// Extrapolated Newton seed of the current solve.
+    seed: Vec<f64>,
 }
 
 impl CompiledPair {
@@ -267,9 +280,9 @@ impl CompiledPair {
         &self.structure
     }
 
-    /// Forgets the carried solution; the next solve starts cold.
+    /// Forgets the carried solutions; the next solve starts cold.
     pub fn reset_warm(&mut self) {
-        self.has_warm = false;
+        self.carried = 0;
     }
 
     /// Installs a process-wide symbolic-LU plan cache on this pair's
@@ -284,9 +297,12 @@ impl CompiledPair {
     /// Solves the compiled structure at one temperature and reads out the
     /// pair, drawing all solver storage from `ws`.
     ///
-    /// With `warm_start`, Newton is seeded from the last converged
-    /// solution of this pair (if any); the converged vector is carried
-    /// forward either way so a later warm-started call can use it.
+    /// With `warm_start`, Newton is seeded from this pair's last two
+    /// converged solutions, extrapolated linearly to `temperature`. The
+    /// seed is the last solution itself when only one exists, when the
+    /// previous temperature step is zero or not finite, or when the
+    /// extrapolation is not finite. Converged vectors are carried forward
+    /// either way so a later warm-started call can use them.
     ///
     /// # Errors
     ///
@@ -298,10 +314,12 @@ impl CompiledPair {
         ws: &mut SolveWorkspace,
         warm_start: bool,
     ) -> Result<PairReading, SpiceError> {
-        let initial = if warm_start && self.has_warm {
-            Some(self.warm.as_slice())
-        } else {
+        let initial = if !warm_start || self.carried == 0 {
             None
+        } else if self.extrapolate_seed(temperature.value()) {
+            Some(self.seed.as_slice())
+        } else {
+            Some(self.warm.as_slice())
         };
         solve_dc_with(
             &self.circuit,
@@ -312,16 +330,37 @@ impl CompiledPair {
             ws,
         )?;
         let x = ws.solution();
-        if self.warm.len() != x.len() {
-            self.warm.resize(x.len(), 0.0);
-        }
-        self.warm.copy_from_slice(x);
-        self.has_warm = true;
+        std::mem::swap(&mut self.warm, &mut self.prior);
+        self.prior_t = self.warm_t;
+        self.warm.clear();
+        self.warm.extend_from_slice(x);
+        self.warm_t = temperature.value();
+        self.carried = (self.carried + 1).min(2);
         let vbe_a = voltage_of(x, self.va);
         let vbe_b = voltage_of(x, self.vb);
         Ok(self
             .structure
             .reading_from(vbe_a, vbe_b, &self.qa, &self.qb, temperature))
+    }
+
+    /// Writes the linear extrapolation of the last two solutions to `t`
+    /// kelvin into `seed`. Returns `false` (the caller seeds from the last
+    /// solution instead) when fewer than two are carried, the previous
+    /// step is zero or not finite, or the extrapolation is not finite.
+    fn extrapolate_seed(&mut self, t: f64) -> bool {
+        let step = self.warm_t - self.prior_t;
+        if self.carried < 2 || step == 0.0 || !step.is_finite() {
+            return false;
+        }
+        let ratio = (t - self.warm_t) / step;
+        self.seed.clear();
+        self.seed.extend(
+            self.warm
+                .iter()
+                .zip(&self.prior)
+                .map(|(&w, &p)| w + ratio * (w - p)),
+        );
+        self.seed.iter().all(|v| v.is_finite())
     }
 }
 
@@ -456,6 +495,92 @@ mod tests {
         assert_eq!(cold, warm, "polish must erase the seed dependence");
         // And the warm pass must actually have warm-started.
         assert!(ws.stats.warm_starts >= (temps.len() - 1) as u64);
+    }
+
+    fn reading_bits(r: &PairReading) -> [u64; 6] {
+        [
+            r.temperature.value(),
+            r.vbe_a.value(),
+            r.vbe_b.value(),
+            r.dvbe.value(),
+            r.ic_a.value(),
+            r.ic_b.value(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    #[test]
+    fn extrapolated_warm_start_matches_cold_bitwise_on_irregular_steps() {
+        let pair = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6))
+            .with_substrate(SubstrateJunction::bicmos_default());
+        let mut opts = DcOptions::default();
+        opts.newton.polish = true;
+        // A repeated temperature (zero step: plain warm start), a step
+        // down, 50 K jumps, and 1e-9 K steps — one of them followed by a
+        // 50 K jump, which extrapolates ~5e10 previous steps ahead.
+        let temps = [
+            300.0,
+            301.0,
+            301.0,
+            299.5,
+            349.5,
+            349.5 + 1e-9,
+            399.5,
+            399.5,
+            250.0,
+            250.0 + 1e-9,
+            250.0 + 2e-9,
+            300.0,
+        ];
+        let mut ws = SolveWorkspace::new();
+        let mut cold_pair = pair.compile().unwrap();
+        let mut warm_pair = pair.compile().unwrap();
+        for t in temps {
+            let t = Kelvin::new(t);
+            cold_pair.reset_warm();
+            let cold = cold_pair.measure_at(t, &opts, &mut ws, false).unwrap();
+            let warm = warm_pair.measure_at(t, &opts, &mut ws, true).unwrap();
+            assert_eq!(reading_bits(&cold), reading_bits(&warm), "at {t}");
+        }
+        assert_eq!(ws.stats.warm_starts, (temps.len() - 1) as u64);
+    }
+
+    #[test]
+    fn seed_extrapolates_the_last_two_solutions() {
+        let pair = PairStructure::ideal(st_bicmos_pnp(), Ampere::new(1e-6));
+        let opts = DcOptions::default();
+        let mut ws = SolveWorkspace::new();
+        let mut compiled = pair.compile().unwrap();
+        let mut probe = pair.compile().unwrap();
+        let target = probe
+            .measure_at(Kelvin::new(302.0), &opts, &mut ws, false)
+            .unwrap();
+        compiled
+            .measure_at(Kelvin::new(300.0), &opts, &mut ws, true)
+            .unwrap();
+        // One solution: nothing to extrapolate from.
+        assert!(!compiled.extrapolate_seed(302.0));
+        compiled
+            .measure_at(Kelvin::new(301.0), &opts, &mut ws, true)
+            .unwrap();
+        assert!(compiled.extrapolate_seed(302.0));
+        // The extrapolated seed lands far closer to the 302 K solution
+        // than the last solution does.
+        let va = pair.build().unwrap().1.unknown_index().unwrap();
+        let seed_err = (compiled.seed[va] - target.vbe_a.value()).abs();
+        let warm_err = (compiled.warm[va] - target.vbe_a.value()).abs();
+        assert!(seed_err < warm_err / 100.0, "{seed_err} vs {warm_err}");
+        // A repeated temperature makes the previous step zero.
+        compiled
+            .measure_at(Kelvin::new(301.0), &opts, &mut ws, true)
+            .unwrap();
+        assert!(!compiled.extrapolate_seed(302.0));
+        // Forgetting the carried solutions starts the history over.
+        compiled.reset_warm();
+        compiled
+            .measure_at(Kelvin::new(303.0), &opts, &mut ws, true)
+            .unwrap();
+        assert!(!compiled.extrapolate_seed(304.0));
     }
 
     #[test]

@@ -166,6 +166,10 @@ pub struct CampaignCounters {
     pub solves: AtomicU64,
     /// Damped Newton iterations, summed over all solves.
     pub newton_total: AtomicU64,
+    /// Fixed-point polish iterations, summed over all solves.
+    pub polish_total: AtomicU64,
+    /// Newton-map applications by the polish's cluster walk.
+    pub cluster_maps: AtomicU64,
     /// Electro-thermal fixed-point iterations, summed over all setpoints.
     pub selfheat_total: AtomicU64,
     /// Solves seeded from a previous converged solution.
@@ -217,13 +221,15 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 21] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 23] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
             ("failed", &self.failed),
             ("solves", &self.solves),
             ("newton_total", &self.newton_total),
+            ("polish_total", &self.polish_total),
+            ("cluster_maps", &self.cluster_maps),
             ("selfheat_total", &self.selfheat_total),
             ("warm_hits", &self.warm_hits),
             ("warm_misses", &self.warm_misses),
@@ -269,6 +275,10 @@ impl CampaignCounters {
         self.solves.fetch_add(stats.solves, Ordering::Relaxed);
         self.newton_total
             .fetch_add(stats.newton_iterations, Ordering::Relaxed);
+        self.polish_total
+            .fetch_add(stats.polish_iterations, Ordering::Relaxed);
+        self.cluster_maps
+            .fetch_add(stats.cluster_maps, Ordering::Relaxed);
         self.selfheat_total
             .fetch_add(selfheat_iterations, Ordering::Relaxed);
         self.warm_hits
@@ -354,6 +364,10 @@ pub struct SolverMetrics {
     pub solves: u64,
     /// Total damped Newton iterations.
     pub newton_iterations: u64,
+    /// Total fixed-point polish iterations.
+    pub polish_iterations: u64,
+    /// Total Newton-map applications by the polish's cluster walk.
+    pub cluster_maps: u64,
     /// Total electro-thermal fixed-point iterations.
     pub selfheat_iterations: u64,
     /// Solves seeded from a previous converged solution.
@@ -484,6 +498,8 @@ impl CampaignCounters {
                 SolverMetrics {
                     solves: self.solves.load(Ordering::Relaxed),
                     newton_iterations: self.newton_total.load(Ordering::Relaxed),
+                    polish_iterations: self.polish_total.load(Ordering::Relaxed),
+                    cluster_maps: self.cluster_maps.load(Ordering::Relaxed),
                     selfheat_iterations: self.selfheat_total.load(Ordering::Relaxed),
                     warm_start_hits: self.warm_hits.load(Ordering::Relaxed),
                     warm_start_misses: self.warm_misses.load(Ordering::Relaxed),

@@ -180,10 +180,20 @@ fn counters_json(c: &CampaignCounters) -> String {
     )
 }
 
+/// Counter scalars newer than the partial schema; a document without
+/// them still decodes.
+const ADDED_SCALARS: [&str; 2] = ["polish_total", "cluster_maps"];
+
 fn counters_from(v: &Json) -> Result<CampaignCounters, CampaignError> {
     let c = CampaignCounters::default();
     for (name, slot) in c.scalars() {
-        slot.store(want_u64(v, name)?, Ordering::Relaxed);
+        // Partials written before the polish counters existed lack them;
+        // those read as zero.
+        let n = match v.get(name) {
+            None if ADDED_SCALARS.contains(&name) => 0,
+            _ => want_u64(v, name)?,
+        };
+        slot.store(n, Ordering::Relaxed);
     }
     let by_kind = u64_list_from::<{ FailureKind::COUNT }>(v, "recovered_by_kind")?;
     for (slot, n) in c.recovered_by_kind.iter().zip(by_kind) {
@@ -363,6 +373,31 @@ mod tests {
         ));
         let back = partial_from_json(&old).unwrap();
         assert_eq!(partial_to_json(&back), text);
+    }
+
+    #[test]
+    fn decode_accepts_documents_without_the_polish_counters() {
+        // Partials written before the polish counters existed lack both
+        // keys; they decode with the counters at zero.
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(1);
+        let p = shard_partial(&spec, 0, 4);
+        p.counters.polish_total.store(31, Ordering::Relaxed);
+        p.counters.cluster_maps.store(57, Ordering::Relaxed);
+        let text = partial_to_json(&p);
+        let old = with_fresh_checksum(&text.replacen("\"polish_total\":31,", "", 1).replacen(
+            "\"cluster_maps\":57,",
+            "",
+            1,
+        ));
+        assert!(!old.contains("polish_total") && !old.contains("cluster_maps"));
+        let back = partial_from_json(&old).unwrap();
+        assert_eq!(back.counters.polish_total.load(Ordering::Relaxed), 0);
+        assert_eq!(back.counters.cluster_maps.load(Ordering::Relaxed), 0);
+        assert_eq!(back.aggregate, p.aggregate);
+        // Any other missing counter is still an error.
+        let broken = with_fresh_checksum(&text.replacen("\"solves\":", "\"solvez\":", 1));
+        assert!(partial_from_json(&broken).is_err());
     }
 
     #[test]

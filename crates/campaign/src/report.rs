@@ -388,7 +388,8 @@ pub fn metrics_json(run: &CampaignRun) -> String {
             "  \"dies_per_second\":{rate},\n",
             "  \"max_reorder_buffer\":{buf},\n",
             "  \"solver\":{{\"solves\":{solves},\"newton_iterations\":{newton},\
-             \"newton_per_solve\":{npsolve},\"selfheat_iterations\":{selfheat},\
+             \"newton_per_solve\":{npsolve},\"polish_iterations\":{polish},\
+             \"cluster_maps\":{cmaps},\"selfheat_iterations\":{selfheat},\
              \"warm_start_hits\":{hits},\"warm_start_misses\":{misses},\
              \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
              \"device_reuses\":{devreuses},\"bypass_hits\":{byphits},\
@@ -417,6 +418,8 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         solves = m.solver.solves,
         newton = m.solver.newton_iterations,
         npsolve = num(m.solver.newton_per_solve()),
+        polish = m.solver.polish_iterations,
+        cmaps = m.solver.cluster_maps,
         selfheat = m.solver.selfheat_iterations,
         hits = m.solver.warm_start_hits,
         misses = m.solver.warm_start_misses,

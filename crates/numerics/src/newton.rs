@@ -140,6 +140,9 @@ pub struct NewtonInfo {
     pub iterations: usize,
     /// Extra full-step iterations used by the polish phase.
     pub polish_iterations: usize,
+    /// Newton-map applications spent by the polish's last-ulp cluster
+    /// walk (see [`NewtonOptions::polish`]).
+    pub cluster_maps: usize,
     /// Final residual infinity norm (of the damped phase; the polish phase
     /// can only move the iterate within the last-ulp neighbourhood).
     pub residual_norm: f64,
@@ -158,11 +161,13 @@ pub struct NewtonWorkspace {
     dx: Vec<f64>,
     neg_f: Vec<f64>,
     prev: Vec<f64>,
-    /// Cluster-walk buffers (polish): probe iterate, probe base, and the
-    /// flat `CLUSTER_MAX x n` store of discovered fixed points.
+    /// Cluster-walk buffers (polish): probe iterate, probe base, the
+    /// flat `CLUSTER_MAX x n` store of discovered fixed points, and each
+    /// stored point's residual norm.
     probe: Vec<f64>,
     base: Vec<f64>,
     cluster: Vec<f64>,
+    cluster_norms: Vec<f64>,
     jac: Option<Matrix>,
     lu: LinearSolver,
 }
@@ -245,6 +250,7 @@ impl NewtonWorkspace {
             self.probe.resize(n, 0.0);
             self.base.resize(n, 0.0);
             self.cluster.resize(CLUSTER_MAX * n, 0.0);
+            self.cluster_norms.resize(CLUSTER_MAX, 0.0);
         }
         let fresh = !matches!(&self.jac, Some(j) if j.rows() == n && j.cols() == n);
         if fresh {
@@ -317,16 +323,36 @@ pub fn solve_newton_with(
         )));
     }
     ws.ensure(n);
-    let mut info = newton_damped(system, x, options, ws)?;
+    let (mut info, jac_at_x) = newton_damped(system, x, options, ws)?;
     if options.polish {
         // Polish against the exact system: the fixed point (and its
         // canonical cluster member) must be a pure function of the system,
         // so a tolerance fast path may not leak into the map here.
         system.set_exact(true);
-        info.polish_iterations = polish_to_fixed_point(system, x, ws);
+        (info.polish_iterations, info.cluster_maps) =
+            polish_to_fixed_point(system, x, ws, jac_at_x);
         system.set_exact(false);
     }
     Ok(info)
+}
+
+/// Evaluates `f(x)` into `f` and, with `fuse`, `J(x)` into `jac` in the
+/// same pass. Returns whether `jac` now holds `J(x)`. A failed fused pass
+/// is retried residual-only, so a residual failure surfaces exactly as on
+/// the residual-only path and a Jacobian failure surfaces from the
+/// Jacobian pass that needs it.
+fn eval_at(
+    system: &impl NonlinearSystem,
+    x: &[f64],
+    f: &mut [f64],
+    jac: &mut Matrix,
+    fuse: bool,
+) -> Result<bool, NumericsError> {
+    if fuse && system.residual_and_jacobian(x, f, jac).is_ok() {
+        return Ok(true);
+    }
+    system.residual(x, f)?;
+    Ok(false)
 }
 
 /// Re-verifies an accept-candidate residual against the exact system when
@@ -379,36 +405,56 @@ pub fn solve_newton_traced(
     result
 }
 
-/// The damped phase: bitwise identical to the historical `solve_newton`
-/// algorithm, with every temporary drawn from the workspace.
+/// A damped-phase result: iterations and final residual norm, built with
+/// no polish counts yet.
+fn damped_info(iterations: usize, residual_norm: f64) -> NewtonInfo {
+    NewtonInfo {
+        iterations,
+        polish_iterations: 0,
+        cluster_maps: 0,
+        residual_norm,
+    }
+}
+
+/// The damped phase: the historical `solve_newton` algorithm, with every
+/// temporary drawn from the workspace. Returns the outcome and whether
+/// the workspace Jacobian holds `J(x)` at the accepted `x`; `ws.f` holds
+/// the exact residual there on every successful return.
+///
+/// With exact evaluations, the initial point and every full-step trial
+/// are stamped once for residual and Jacobian together, and an accepted
+/// full step hands its Jacobian to the next iteration. Iterates, counts
+/// and errors are those of separate residual and Jacobian passes: both
+/// routes produce the same bits. Approximate (bypass-armed) evaluations
+/// stay residual-only, because an exact re-verification between two
+/// passes at one point would leave a Jacobian from other device states.
 fn newton_damped(
     system: &impl NonlinearSystem,
     x: &mut [f64],
     options: NewtonOptions,
     ws: &mut NewtonWorkspace,
-) -> Result<NewtonInfo, NumericsError> {
+) -> Result<(NewtonInfo, bool), NumericsError> {
     let n = x.len();
     let Some(jac) = ws.jac.as_mut() else {
         return Err(NumericsError::invalid(
             "newton workspace jacobian not sized",
         ));
     };
-    system.residual(x, &mut ws.f)?;
+    let fuse = !system.residual_is_approximate();
+    let mut jac_at_x = eval_at(system, x, &mut ws.f, jac, fuse)?;
     let mut fnorm = inf_norm(&ws.f);
 
     for iter in 0..options.max_iterations {
         if fnorm <= options.residual_tolerance {
             exactify(system, x, &mut ws.f, &mut fnorm)?;
             if fnorm <= options.residual_tolerance {
-                return Ok(NewtonInfo {
-                    iterations: iter,
-                    polish_iterations: 0,
-                    residual_norm: fnorm,
-                });
+                return Ok((damped_info(iter, fnorm), jac_at_x));
             }
             // The exact residual no longer passes: keep iterating on it.
         }
-        system.jacobian(x, jac)?;
+        if !jac_at_x {
+            system.jacobian(x, jac)?;
+        }
         ws.lu.factor_from(jac)?;
         for i in 0..n {
             ws.neg_f[i] = -ws.f[i];
@@ -426,16 +472,24 @@ fn newton_damped(
 
         let mut damping = 1.0;
         let mut advanced = false;
-        for _ in 0..20 {
+        // From here `jac` may hold a trial's Jacobian, not `J(x)`.
+        jac_at_x = false;
+        for halving in 0..20 {
             for i in 0..n {
                 ws.trial[i] = x[i] + damping * ws.dx[i];
             }
-            if system.residual(&ws.trial, &mut ws.f_trial).is_ok() {
+            let evaluated = if halving == 0 {
+                eval_at(system, &ws.trial, &mut ws.f_trial, jac, fuse)
+            } else {
+                system.residual(&ws.trial, &mut ws.f_trial).map(|()| false)
+            };
+            if let Ok(jac_at_trial) = evaluated {
                 let t_norm = inf_norm(&ws.f_trial);
                 if t_norm.is_finite() && (t_norm < fnorm || t_norm <= options.residual_tolerance) {
                     x.copy_from_slice(&ws.trial);
                     ws.f.copy_from_slice(&ws.f_trial);
                     fnorm = t_norm;
+                    jac_at_x = jac_at_trial;
                     advanced = true;
                     break;
                 }
@@ -451,11 +505,7 @@ fn newton_damped(
             if ws.trial == x {
                 exactify(system, x, &mut ws.f, &mut fnorm)?;
                 if fnorm <= options.acceptable_residual {
-                    return Ok(NewtonInfo {
-                        iterations: iter,
-                        polish_iterations: 0,
-                        residual_norm: fnorm,
-                    });
+                    return Ok((damped_info(iter, fnorm), false));
                 }
                 return Err(NumericsError::NoConvergence {
                     iterations: iter,
@@ -479,22 +529,14 @@ fn newton_damped(
         {
             exactify(system, x, &mut ws.f, &mut fnorm)?;
             if fnorm <= options.residual_tolerance.max(1e-9) {
-                return Ok(NewtonInfo {
-                    iterations: iter + 1,
-                    polish_iterations: 0,
-                    residual_norm: fnorm,
-                });
+                return Ok((damped_info(iter + 1, fnorm), jac_at_x));
             }
         }
     }
     if fnorm <= options.acceptable_residual {
         exactify(system, x, &mut ws.f, &mut fnorm)?;
         if fnorm <= options.acceptable_residual {
-            return Ok(NewtonInfo {
-                iterations: options.max_iterations,
-                polish_iterations: 0,
-                residual_norm: fnorm,
-            });
+            return Ok((damped_info(options.max_iterations, fnorm), jac_at_x));
         }
     }
     Err(NumericsError::NoConvergence {
@@ -536,37 +578,39 @@ const CYCLE_SPAN_ULPS: u64 = 4;
 /// the entry side. Failures (singular Jacobian, non-finite residual) end
 /// the polish and keep the already-converged iterate; the cap bounds the
 /// cost.
+///
+/// Starts from the damped phase's accepted point: `ws.f` holds its exact
+/// residual, and `jac_at_x` says whether `ws.jac` holds its Jacobian, so
+/// neither is stamped again. Each trial is stamped once for residual and
+/// Jacobian, and the Jacobian serves the next step; a trial that closes a
+/// two-cycle is the previous iterate and is not stamped at all. Returns
+/// the polish iterations and the cluster walk's map applications.
 fn polish_to_fixed_point(
     system: &impl NonlinearSystem,
     x: &mut [f64],
     ws: &mut NewtonWorkspace,
-) -> usize {
+    mut jac_at_x: bool,
+) -> (usize, usize) {
     let n = x.len();
-    if ws.jac.is_none() {
-        return 0;
-    }
-    if system.residual(x, &mut ws.f).is_err() {
-        return 0;
-    }
-    let fnorm = inf_norm(&ws.f);
+    let mut fnorm = inf_norm(&ws.f);
     if !fnorm.is_finite() {
-        return 0;
+        return (0, 0);
     }
     let mut have_prev = false;
+    let mut prev_norm = f64::INFINITY;
     for iter in 0..POLISH_MAX {
-        let map_ok = {
-            let Some(jac) = ws.jac.as_mut() else {
-                return iter;
-            };
-            system.jacobian(x, jac).is_ok() && ws.lu.factor_from(jac).is_ok() && {
+        let Some(jac) = ws.jac.as_mut() else {
+            return (iter, 0);
+        };
+        let map_ok =
+            (jac_at_x || system.jacobian(x, jac).is_ok()) && ws.lu.factor_from(jac).is_ok() && {
                 for i in 0..n {
                     ws.neg_f[i] = -ws.f[i];
                 }
                 ws.lu.solve_into(&ws.neg_f, &mut ws.dx).is_ok()
-            }
-        };
+            };
         if !map_ok {
-            return iter;
+            return (iter, 0);
         }
         for i in 0..n {
             ws.trial[i] = x[i] + ws.dx[i];
@@ -575,34 +619,40 @@ fn polish_to_fixed_point(
             // Bitwise stationary. Seed the cluster with this fixed point
             // and canonicalize over the whole last-ulp neighbourhood.
             ws.cluster[..n].copy_from_slice(x);
-            canonicalize_cluster(system, x, ws, 1);
-            return iter;
-        }
-        if system.residual(&ws.trial, &mut ws.f_trial).is_err() {
-            return iter;
-        }
-        let t_norm = inf_norm(&ws.f_trial);
-        if !t_norm.is_finite() {
-            return iter;
+            ws.cluster_norms[0] = fnorm;
+            return (iter, canonicalize_cluster(system, x, ws, 1));
         }
         if have_prev && ws.trial == ws.prev {
             // Two-cycle {x, trial}: seed the cluster with both members.
+            // The trial is the previous iterate, whose residual norm is in
+            // hand.
             ws.cluster[..n].copy_from_slice(x);
             ws.cluster[n..2 * n].copy_from_slice(&ws.trial);
-            canonicalize_cluster(system, x, ws, 2);
-            return iter + 1;
+            ws.cluster_norms[..2].copy_from_slice(&[fnorm, prev_norm]);
+            return (iter + 1, canonicalize_cluster(system, x, ws, 2));
+        }
+        match eval_at(system, &ws.trial, &mut ws.f_trial, jac, true) {
+            Ok(jac_at_trial) => jac_at_x = jac_at_trial,
+            Err(_) => return (iter, 0),
+        }
+        let t_norm = inf_norm(&ws.f_trial);
+        if !t_norm.is_finite() {
+            return (iter, 0);
         }
         ws.prev.copy_from_slice(x);
+        prev_norm = fnorm;
         have_prev = true;
         x.copy_from_slice(&ws.trial);
         ws.f.copy_from_slice(&ws.f_trial);
+        fnorm = t_norm;
     }
-    POLISH_MAX
+    (POLISH_MAX, 0)
 }
 
 /// One application of the rounded Newton map `N(p) = fl(p − J(p)⁻¹ f(p))`
-/// into `out`. Returns `false` when any stage fails or produces a
-/// non-finite value; `out` is then unspecified.
+/// into `out`. Returns the residual infinity norm at `p`, or `None` when
+/// any stage fails or produces a non-finite value (`out` is then
+/// unspecified).
 #[allow(clippy::too_many_arguments)]
 fn newton_map(
     system: &impl NonlinearSystem,
@@ -613,27 +663,25 @@ fn newton_map(
     dx: &mut [f64],
     jac: &mut Matrix,
     lu: &mut LinearSolver,
-) -> bool {
+) -> Option<f64> {
     let n = p.len();
-    if system.residual_and_jacobian(p, f, jac).is_err() || !inf_norm(f).is_finite() {
-        return false;
+    system.residual_and_jacobian(p, f, jac).ok()?;
+    let norm = inf_norm(f);
+    if !norm.is_finite() {
+        return None;
     }
-    if lu.factor_from(jac).is_err() {
-        return false;
-    }
+    lu.factor_from(jac).ok()?;
     for i in 0..n {
         neg_f[i] = -f[i];
     }
-    if lu.solve_into(neg_f, dx).is_err() {
-        return false;
-    }
+    lu.solve_into(neg_f, dx).ok()?;
     for i in 0..n {
         out[i] = p[i] + dx[i];
         if !out[i].is_finite() {
-            return false;
+            return None;
         }
     }
-    true
+    Some(norm)
 }
 
 /// Having reached a terminal point (or two-cycle) of the rounded Newton
@@ -657,15 +705,20 @@ fn newton_map(
 /// is not followed — it would only rediscover known members.
 ///
 /// `ws.cluster[..seeded * n]` must hold the terminal points already found
-/// by the polish loop (the stationary point, or both two-cycle members).
+/// by the polish loop (the stationary point, or both two-cycle members),
+/// and `ws.cluster_norms[..seeded]` their residual norms. Every member's
+/// norm comes from the pass that found it (the map application's
+/// residual is bitwise the plain residual), so picking the canonical
+/// member stamps nothing. Returns the number of map applications.
 fn canonicalize_cluster(
     system: &impl NonlinearSystem,
     x: &mut [f64],
     ws: &mut NewtonWorkspace,
     seeded: usize,
-) {
+) -> usize {
     let n = x.len();
     let mut count = seeded.min(CLUSTER_MAX);
+    let mut maps = 0;
     let mut member = 0;
     while member < count && count < CLUSTER_MAX {
         ws.base
@@ -688,9 +741,10 @@ fn canonicalize_cluster(
                 // (free once the polish loop has terminated) holds N(N(p))
                 // for the two-cycle test.
                 let Some(jac) = ws.jac.as_mut() else {
-                    return;
+                    return maps;
                 };
-                if !newton_map(
+                maps += 1;
+                let Some(probe_norm) = newton_map(
                     system,
                     &ws.probe,
                     &mut ws.trial,
@@ -699,11 +753,17 @@ fn canonicalize_cluster(
                     &mut ws.dx,
                     jac,
                     &mut ws.lu,
-                ) {
+                ) else {
                     continue;
-                }
+                };
                 if ws.trial == ws.probe {
-                    add_member(&mut ws.cluster, &mut count, &ws.probe, n);
+                    add_member(
+                        &mut ws.cluster,
+                        &mut ws.cluster_norms,
+                        &mut count,
+                        &ws.probe,
+                        probe_norm,
+                    );
                     continue;
                 }
                 // If the probe maps onto a known member it cannot be a new
@@ -719,9 +779,10 @@ fn canonicalize_cluster(
                     continue;
                 }
                 let Some(jac) = ws.jac.as_mut() else {
-                    return;
+                    return maps;
                 };
-                if !newton_map(
+                maps += 1;
+                let Some(trial_norm) = newton_map(
                     system,
                     &ws.trial,
                     &mut ws.prev,
@@ -730,15 +791,14 @@ fn canonicalize_cluster(
                     &mut ws.dx,
                     jac,
                     &mut ws.lu,
-                ) {
+                ) else {
                     continue;
-                }
+                };
                 if ws.prev == ws.probe {
                     // Two-cycle {probe, trial}: both members join.
-                    add_member(&mut ws.cluster, &mut count, &ws.probe, n);
-                    if count < CLUSTER_MAX {
-                        add_member(&mut ws.cluster, &mut count, &ws.trial, n);
-                    }
+                    let (cluster, norms) = (&mut ws.cluster, &mut ws.cluster_norms);
+                    add_member(cluster, norms, &mut count, &ws.probe, probe_norm);
+                    add_member(cluster, norms, &mut count, &ws.trial, trial_norm);
                 }
             }
         }
@@ -746,19 +806,10 @@ fn canonicalize_cluster(
     }
     // Canonical member: smallest residual infinity norm, ties broken
     // lexicographically — both are functions of the set, not of the entry.
-    let norm_of = |member: &[f64], f: &mut [f64]| -> f64 {
-        if system.residual(member, f).is_ok() {
-            let v = inf_norm(f);
-            if v.is_finite() {
-                return v;
-            }
-        }
-        f64::INFINITY
-    };
     let mut best = 0;
-    let mut best_norm = norm_of(&ws.cluster[..n], &mut ws.f_trial);
+    let mut best_norm = ws.cluster_norms[0];
     for m in 1..count {
-        let norm = norm_of(&ws.cluster[m * n..(m + 1) * n], &mut ws.f_trial);
+        let norm = ws.cluster_norms[m];
         if norm < best_norm
             || (norm == best_norm
                 && lex_less(
@@ -771,6 +822,7 @@ fn canonicalize_cluster(
         }
     }
     x[..n].copy_from_slice(&ws.cluster[best * n..(best + 1) * n]);
+    maps
 }
 
 /// Whether `point` is bitwise equal to one of the first `count` cluster
@@ -779,17 +831,17 @@ fn is_member(cluster: &[f64], count: usize, point: &[f64], n: usize) -> bool {
     (0..count).any(|m| cluster[m * n..(m + 1) * n] == point[..])
 }
 
-/// Appends `point` to the flat cluster store unless already present.
-fn add_member(cluster: &mut [f64], count: &mut usize, point: &[f64], n: usize) {
-    if *count == CLUSTER_MAX {
+/// Appends `point` and its residual norm to the flat cluster store unless
+/// already present or the store is full.
+fn add_member(cluster: &mut [f64], norms: &mut [f64], count: &mut usize, point: &[f64], norm: f64) {
+    let n = point.len();
+    if *count == CLUSTER_MAX || is_member(cluster, *count, point, n) {
         return;
     }
-    let seen = is_member(cluster, *count, point, n);
-    if !seen {
-        let dst = *count * n;
-        cluster[dst..dst + n].copy_from_slice(point);
-        *count += 1;
-    }
+    let dst = *count * n;
+    cluster[dst..dst + n].copy_from_slice(point);
+    norms[*count] = norm;
+    *count += 1;
 }
 
 /// Whether every component of `a` is within `k` representable values of
@@ -1057,6 +1109,235 @@ mod tests {
         assert_eq!(x[0], 2.0, "accepted solution must solve the exact system");
         assert!(info.iterations > 0, "fast-path zero must not be accepted");
         assert!(!sys.exact.get(), "solver must leave fast mode re-armed");
+    }
+
+    /// x^2 + y^2 = r2, x - y = 0: a family of distinct systems of one
+    /// dimension, so a workspace can carry a Jacobian from one to the next.
+    struct Circle2(f64);
+
+    impl NonlinearSystem for Circle2 {
+        fn dimension(&self) -> usize {
+            2
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
+            out[0] = x[0] * x[0] + x[1] * x[1] - self.0;
+            out[1] = x[0] - x[1];
+            Ok(())
+        }
+        fn jacobian(&self, x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
+            Circle.jacobian(x, out)
+        }
+    }
+
+    #[test]
+    fn reused_workspace_matches_a_fresh_one_bitwise() {
+        // Each solve starts where the previous system's solve ended, some
+        // already converged there: a Jacobian left in the workspace from
+        // the previous system must never stand in for the current one's.
+        let opts = NewtonOptions {
+            polish: true,
+            ..NewtonOptions::default()
+        };
+        let mut reused = NewtonWorkspace::new();
+        let mut x = [1.0, 0.5];
+        for r2 in [4.0, 9.0, 9.0, 2.0, 4.0] {
+            let start = x;
+            let info = solve_newton_with(&Circle2(r2), &mut x, opts, &mut reused).unwrap();
+            let mut fresh_x = start;
+            let fresh = solve_newton_with(
+                &Circle2(r2),
+                &mut fresh_x,
+                opts,
+                &mut NewtonWorkspace::new(),
+            )
+            .unwrap();
+            assert_eq!(x.map(f64::to_bits), fresh_x.map(f64::to_bits), "r2 = {r2}");
+            assert_eq!(info, fresh, "r2 = {r2}");
+            // A 1-D solve in between re-sizes the same buffers.
+            let mut d = [0.8];
+            solve_newton_with(&Diode, &mut d, opts, &mut reused).unwrap();
+        }
+    }
+
+    /// f(x) = x^2 - 4 whose Jacobian fails wherever `broken(x)` holds,
+    /// while the residual stays finite everywhere: by an error, or (with
+    /// `inf`) by a non-finite value the LU factorization rejects.
+    struct BrittleJacobian {
+        broken: fn(f64) -> bool,
+        inf: bool,
+    }
+
+    impl NonlinearSystem for BrittleJacobian {
+        fn dimension(&self) -> usize {
+            1
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
+            out[0] = x[0] * x[0] - 4.0;
+            Ok(())
+        }
+        fn jacobian(&self, x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
+            if !(self.broken)(x[0]) {
+                out[(0, 0)] = 2.0 * x[0];
+            } else if self.inf {
+                out[(0, 0)] = f64::INFINITY;
+            } else {
+                return Err(NumericsError::invalid("jacobian blew up"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jacobian_failing_at_an_accepted_trial_fails_where_it_is_needed() {
+        let polish = NewtonOptions {
+            polish: true,
+            ..NewtonOptions::default()
+        };
+        for inf in [false, true] {
+            let expected = if inf {
+                NumericsError::invalid("LU input contains non-finite entries")
+            } else {
+                NumericsError::invalid("jacobian blew up")
+            };
+            // From 1.0 the first full step lands on 2.5, is accepted, and
+            // the next step needs the broken Jacobian there.
+            let sys = BrittleJacobian {
+                broken: |x| x > 2.4,
+                inf,
+            };
+            let err = solve_newton_with(&sys, &mut [1.0], polish, &mut NewtonWorkspace::new());
+            assert_eq!(err, Err(expected), "inf = {inf}");
+
+            // Broken only next to the root: the damped phase never needs
+            // the Jacobian at its accepted point, and the polish stops
+            // there with the damped iterate, counts and norm unchanged.
+            let sys = BrittleJacobian {
+                broken: |x| (x - 2.0).abs() < 1e-11,
+                inf,
+            };
+            let mut plain_x = [3.0];
+            let plain = solve_newton_with(
+                &sys,
+                &mut plain_x,
+                NewtonOptions::default(),
+                &mut NewtonWorkspace::new(),
+            )
+            .unwrap();
+            assert!(plain.iterations > 1);
+            let mut x = [3.0];
+            let info =
+                solve_newton_with(&sys, &mut x, polish, &mut NewtonWorkspace::new()).unwrap();
+            assert_eq!(x[0].to_bits(), plain_x[0].to_bits(), "inf = {inf}");
+            assert_eq!(info, plain, "inf = {inf}");
+
+            // Accepted one step earlier, at a point whose Jacobian works:
+            // the polish takes one step into the broken zone and stops
+            // there without a walk.
+            let loose = NewtonOptions {
+                residual_tolerance: 1e-9,
+                ..polish
+            };
+            let mut x = [3.0];
+            let info = solve_newton_with(&sys, &mut x, loose, &mut NewtonWorkspace::new()).unwrap();
+            assert!((x[0] - 2.0).abs() < 1e-11, "inf = {inf}: {}", x[0]);
+            assert_eq!(
+                (info.polish_iterations, info.cluster_maps),
+                (1, 0),
+                "inf = {inf}"
+            );
+        }
+    }
+
+    /// `S` with its fused pass refused, so every solve takes separate
+    /// residual and Jacobian passes.
+    struct Unfused<S>(S);
+
+    impl<S: NonlinearSystem> NonlinearSystem for Unfused<S> {
+        fn dimension(&self) -> usize {
+            self.0.dimension()
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
+            self.0.residual(x, out)
+        }
+        fn jacobian(&self, x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
+            self.0.jacobian(x, out)
+        }
+        fn residual_and_jacobian(
+            &self,
+            _x: &[f64],
+            _f: &mut [f64],
+            _jac: &mut Matrix,
+        ) -> Result<(), NumericsError> {
+            Err(NumericsError::invalid("fused pass refused"))
+        }
+    }
+
+    /// f(x) = x^2 + 1: no root, so line searches fail and the damped
+    /// phase takes its most-damped fallback steps until the budget ends.
+    struct NoRoot;
+
+    impl NonlinearSystem for NoRoot {
+        fn dimension(&self) -> usize {
+            1
+        }
+        fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
+            out[0] = x[0] * x[0] + 1.0;
+            Ok(())
+        }
+        fn jacobian(&self, x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
+            out[(0, 0)] = 2.0 * x[0];
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn fused_damped_passes_follow_the_separate_pass_route_bitwise() {
+        fn check<S: NonlinearSystem>(sys: S, start: &[f64], opts: NewtonOptions) {
+            let mut fused_x = start.to_vec();
+            let fused = solve_newton_with(&sys, &mut fused_x, opts, &mut NewtonWorkspace::new());
+            let mut split_x = start.to_vec();
+            let split = solve_newton_with(
+                &Unfused(sys),
+                &mut split_x,
+                opts,
+                &mut NewtonWorkspace::new(),
+            );
+            assert_eq!(fused, split, "from {start:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused_x), bits(&split_x), "from {start:?}");
+        }
+        let opts = NewtonOptions::default();
+        for start in [[1.0, 0.5], [3.0, 2.5], [0.7, 1.9], [-2.0, 0.1]] {
+            check(Circle, &start, opts);
+        }
+        let tight = NewtonOptions {
+            residual_tolerance: 1e-15,
+            ..opts
+        };
+        for start in [0.3, 0.8, 1.2] {
+            check(Diode, &[start], tight);
+        }
+        let err = solve_newton(&NoRoot, &[0.5], opts).unwrap_err();
+        assert!(
+            matches!(err, NumericsError::NoConvergence { .. }),
+            "{err:?}"
+        );
+        check(NoRoot, &[0.5], opts);
+        check(NoRoot, &[1e-8], opts);
+    }
+
+    #[test]
+    fn cluster_walk_reports_its_map_applications() {
+        let opts = NewtonOptions {
+            polish: true,
+            ..NewtonOptions::default()
+        };
+        let mut x = [1.0, 0.5];
+        let info = solve_newton_with(&Circle, &mut x, opts, &mut NewtonWorkspace::new()).unwrap();
+        // Two unknowns give four ±1-ulp probes around the first member.
+        assert!(info.cluster_maps >= 4, "{info:?}");
+        let unpolished = solve_newton(&Circle, &[1.0, 0.5], NewtonOptions::default()).unwrap();
+        assert_eq!(unpolished.iterations, info.iterations);
     }
 
     #[test]

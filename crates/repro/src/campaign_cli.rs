@@ -40,7 +40,8 @@
 //! `--chaos-seed`, bit-identical at any thread count. The write/socket
 //! knobs of the same spec act in the campaign service (`repro serve`).
 //! `--die-iter-budget N` retires the remaining corners of a die that has
-//! spent `N` Newton iterations (`budget_exhausted`, deterministic);
+//! spent `N` damped Newton iterations (`budget_exhausted`, deterministic;
+//! the count depends on the warm-start seeds, see `help`);
 //! `--die-wall-ms` is the wall-clock analogue and the one knowingly
 //! nondeterministic knob.
 //!
@@ -389,11 +390,13 @@ pub fn render(run: &CampaignRun) -> String {
     let solver = &run.metrics.solver;
     let _ = writeln!(
         s,
-        "\n  solver: {} solves, {} Newton iters ({:.1}/solve), \
-         warm-start hit rate {:.1}%, {} self-heating iters",
+        "\n  solver: {} solves, {} Newton iters ({:.1}/solve), {} polish iters, \
+         {} cluster maps, warm-start hit rate {:.1}%, {} self-heating iters",
         solver.solves,
         solver.newton_iterations,
         solver.newton_per_solve(),
+        solver.polish_iterations,
+        solver.cluster_maps,
         solver.warm_hit_rate() * 100.0,
         solver.selfheat_iterations,
     );
@@ -484,8 +487,12 @@ pub fn help() -> String {
      acts only on die_panic — panicking dies are contained and quarantined\n\
      as internal_panic, deterministically per seed. --die-iter-budget\n\
      retires a runaway die's remaining corners as budget_exhausted after N\n\
-     Newton iterations (deterministic); --die-wall-ms is the wall-clock\n\
-     escape hatch (nondeterministic by nature).\n\
+     damped Newton iterations (deterministic); --die-wall-ms is the\n\
+     wall-clock escape hatch (nondeterministic by nature). The iteration\n\
+     count depends on where solves start: warm starts extrapolate the\n\
+     last two solutions in temperature (about 1.2 iterations per solve;\n\
+     --cold needs several times more), so a budget tuned for the older\n\
+     plain warm start (about 2.2 per solve) retires fewer corners now.\n\
      \n\
      --shards N runs the wafer across N worker processes, each folding a\n\
      contiguous die-range slice; the supervisor merges the partial\n\

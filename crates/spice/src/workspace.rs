@@ -21,6 +21,7 @@
 //! warm-start hit rates without threading counters through every layer.
 
 use icvbe_numerics::newton::{solve_newton_traced, NewtonWorkspace};
+use icvbe_numerics::NumericsError;
 use icvbe_trace::{SpanKind, SpanToken, TraceBuf};
 use icvbe_units::Kelvin;
 
@@ -39,6 +40,11 @@ pub struct SolveStats {
     /// Damped Newton iterations accumulated across successful strategy
     /// stages (same counting as [`crate::solver::OperatingPoint::iterations`]).
     pub newton_iterations: u64,
+    /// Full-step iterations of the fixed-point polish, summed over the
+    /// same Newton calls as `newton_iterations`.
+    pub polish_iterations: u64,
+    /// Newton-map applications by the polish's last-ulp cluster walk.
+    pub cluster_maps: u64,
     /// Solves seeded from a caller-provided initial vector.
     pub warm_starts: u64,
     /// Solves started from all zeros.
@@ -130,6 +136,25 @@ fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
     ws.stats.restamp_incremental += effort.restamp_incremental;
     ws.stats.restamp_full += effort.restamp_full;
     effort.bypass_hits
+}
+
+/// One Newton call from `ws.x` on `system`: books the call's polish
+/// effort into the stats and returns its damped iterations.
+fn newton(
+    system: &CircuitSystem<'_>,
+    options: &DcOptions,
+    ws: &mut SolveWorkspace,
+) -> Result<usize, NumericsError> {
+    let info = solve_newton_traced(
+        system,
+        &mut ws.x,
+        options.newton,
+        &mut ws.newton,
+        &mut ws.trace,
+    )?;
+    ws.stats.polish_iterations += info.polish_iterations as u64;
+    ws.stats.cluster_maps += info.cluster_maps as u64;
+    Ok(info.iterations)
 }
 
 /// Books a successful solve into the stats, closes the rung and solve
@@ -253,15 +278,9 @@ pub fn solve_dc_with(
             .trace
             .span_labeled(SpanKind::Rung, SolveStrategy::WarmStart.label());
         ws.x.copy_from_slice(&ws.x0);
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => {
-                iterations += info.iterations;
+        match newton(&system, options, ws) {
+            Ok(iters) => {
+                iterations += iters;
                 return Ok(rung_succeeded(
                     ws,
                     assembly,
@@ -288,15 +307,9 @@ pub fn solve_dc_with(
         .trace
         .span_labeled(SpanKind::Rung, SolveStrategy::ColdStart.label());
     ws.x.fill(0.0);
-    match solve_newton_traced(
-        &system,
-        &mut ws.x,
-        options.newton,
-        &mut ws.newton,
-        &mut ws.trace,
-    ) {
-        Ok(info) => {
-            iterations += info.iterations;
+    match newton(&system, options, ws) {
+        Ok(iters) => {
+            iterations += iters;
             return Ok(rung_succeeded(
                 ws,
                 assembly,
@@ -327,14 +340,8 @@ pub fn solve_dc_with(
             gmin,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::GminStepping,
@@ -356,15 +363,9 @@ pub fn solve_dc_with(
             gmin: options.gmin_floor,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => {
-                iterations += info.iterations;
+        match newton(&system, options, ws) {
+            Ok(iters) => {
+                iterations += iters;
                 return Ok(rung_succeeded(
                     ws,
                     assembly,
@@ -397,14 +398,8 @@ pub fn solve_dc_with(
             gmin: 1e-9,
             source_scale: scale,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::SourceStepping,
@@ -425,14 +420,8 @@ pub fn solve_dc_with(
             gmin,
             source_scale: 1.0,
         });
-        match solve_newton_traced(
-            &system,
-            &mut ws.x,
-            options.newton,
-            &mut ws.newton,
-            &mut ws.trace,
-        ) {
-            Ok(info) => iterations += info.iterations,
+        match newton(&system, options, ws) {
+            Ok(iters) => iterations += iters,
             Err(e) => {
                 failure.record(
                     SolveStrategy::SourceStepping,
@@ -545,6 +534,8 @@ mod tests {
         let mut stats = SolveStats {
             solves: 3,
             newton_iterations: 17,
+            polish_iterations: 5,
+            cluster_maps: 23,
             warm_starts: 1,
             cold_starts: 2,
             ladder_success: [1, 2, 0, 0],

@@ -78,6 +78,18 @@ for f in campaign_aggregate.json campaign_aggregate.csv \
     { echo "FAIL: $f differs with bypass on/off"; exit 1; }
 done
 
+echo "==> warm/cold smoke: extrapolated warm starts change no artifact byte"
+# Warm solves start from the last two solutions extrapolated in
+# temperature; the fixed-point polish and cluster walk must make every
+# accepted point independent of that start.
+./target/release/repro campaign --diameter 5 --seed 13 --threads 2 \
+  --cold --out "$smoke_dir/cold" > /dev/null
+for f in campaign_aggregate.json campaign_aggregate.csv \
+         campaign_quarantine.json campaign_quarantine.csv; do
+  cmp "$smoke_dir/bypass_on/$f" "$smoke_dir/cold/$f" || \
+    { echo "FAIL: $f differs between warm and --cold"; exit 1; }
+done
+
 echo "==> vexp smoke: exp-kernel conformance tests (2-ulp, lane/slice bit-identity)"
 cargo test -q -p icvbe-numerics --lib vexp
 # The libm ablation switch is process-global; its test has a binary of
