@@ -1,7 +1,6 @@
 //! Campaign worker-pool scaling: identical wafer, 1 thread vs N threads,
-//! plus the solver ablations — warm vs cold starts, device bypass on vs
-//! off, frozen sparse plan vs dense LU fallback, and the in-tree `vexp`
-//! exp kernel vs libm's `f64::exp` (`libm-exp`).
+//! plus the solver ablations — warm vs cold starts and frozen sparse plan
+//! vs dense LU fallback.
 //!
 //! The aggregate is asserted bit-identical across thread counts *and*
 //! across every ablation before timing anything, so the speedup measured
@@ -30,12 +29,6 @@ fn scaling_spec() -> CampaignSpec {
 fn cold_spec() -> CampaignSpec {
     let mut spec = scaling_spec();
     spec.warm_start = false;
-    spec
-}
-
-fn no_bypass_spec() -> CampaignSpec {
-    let mut spec = scaling_spec();
-    spec.bypass = false;
     spec
 }
 
@@ -106,32 +99,10 @@ fn run_guards() {
         one.aggregate, cold.aggregate,
         "aggregate must be warm-start invariant"
     );
-    let no_bypass = run_campaign(&no_bypass_spec(), 8).expect("no-bypass run");
-    assert_eq!(
-        one.aggregate, no_bypass.aggregate,
-        "aggregate must be device-bypass invariant"
-    );
     let dense = run_campaign(&dense_spec(), 8).expect("dense-fallback run");
     assert_eq!(
         one.aggregate, dense.aggregate,
         "aggregate must be solve-path invariant"
-    );
-    // The libm-exp ablation swaps the exp kernel, so its accepted bits
-    // legitimately differ from the vexp default — but it must still be
-    // thread-count invariant within itself, and flipping the backend off
-    // again must restore the vexp bits exactly.
-    icvbe_numerics::vexp::set_libm_backend(true);
-    let libm_one = run_campaign(&spec, 1).expect("libm 1-thread run");
-    let libm_par = run_campaign(&spec, 8).expect("libm 8-thread run");
-    icvbe_numerics::vexp::set_libm_backend(false);
-    assert_eq!(
-        libm_one.aggregate, libm_par.aggregate,
-        "libm-exp ablation must stay thread-count invariant"
-    );
-    let restored = run_campaign(&spec, 1).expect("post-ablation run");
-    assert_eq!(
-        one.aggregate, restored.aggregate,
-        "switching the exp backend back must restore the vexp bits"
     );
     // Adaptive skips trailing corners, so the full aggregates differ by
     // design — but the probe corner it *does* run must be bit-identical
@@ -181,7 +152,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
     }
     let warm = scaling_spec();
     let cold = cold_spec();
-    let no_bypass = no_bypass_spec();
     let dense = dense_spec();
     let adaptive = adaptive_spec();
     let dies = warm.wafer.die_count();
@@ -191,26 +161,22 @@ fn bench_campaign_throughput(c: &mut Criterion) {
 
     let mut rows = Vec::new();
     let modes = [
-        ("warm", &warm, false),
-        ("libm-exp", &warm, true),
-        ("no-bypass", &no_bypass, false),
-        ("dense", &dense, false),
-        ("cold", &cold, false),
-        ("adaptive", &adaptive, false),
+        ("warm", &warm),
+        ("dense", &dense),
+        ("cold", &cold),
+        ("adaptive", &adaptive),
     ];
     let mut solves_by_mode: Vec<(&str, u64)> = Vec::new();
-    for (mode, spec, libm) in modes {
-        icvbe_numerics::vexp::set_libm_backend(libm);
+    for (mode, spec) in modes {
         for threads in [1usize, 8] {
             let (median_ms, run) = measure(spec, threads, reps);
             let dies_per_second = dies as f64 / (median_ms / 1e3);
             println!(
                 "campaign_throughput/{mode}/threads/{threads:<2} median {median_ms:7.2} ms -> \
                  {dies_per_second:7.1} dies/s ({dies} dies, {} solves, {} Newton iters, \
-                 {} bypasses, {} evals)",
+                 {} evals)",
                 run.metrics.solver.solves,
                 run.metrics.solver.newton_iterations,
-                run.metrics.solver.bypass_hits,
                 run.metrics.solver.device_evals,
             );
             rows.push(Throughput {
@@ -224,7 +190,6 @@ fn bench_campaign_throughput(c: &mut Criterion) {
             }
         }
     }
-    icvbe_numerics::vexp::set_libm_backend(false);
 
     let solves = |mode: &str| {
         solves_by_mode

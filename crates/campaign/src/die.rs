@@ -637,7 +637,6 @@ fn run_corner(
         &mut scratch.pristine,
         SolveMode {
             warm_start: spec.warm_start,
-            bypass: spec.bypass,
             sparse: spec.sparse,
         },
     );

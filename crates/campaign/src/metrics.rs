@@ -180,8 +180,6 @@ pub struct CampaignCounters {
     pub device_evals: AtomicU64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: AtomicU64,
-    /// Device evaluations skipped by the tolerance bypass.
-    pub bypass_hits: AtomicU64,
     /// Jacobian passes that restamped only operating-point-dependent slots.
     pub restamp_incremental: AtomicU64,
     /// Jacobian passes that stamped every element.
@@ -221,7 +219,7 @@ impl CampaignCounters {
     /// partial-aggregate codec. Arrays and histograms are not listed —
     /// they carry their own encodings.
     #[must_use]
-    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 23] {
+    pub fn scalars(&self) -> [(&'static str, &AtomicU64); 22] {
         [
             ("started", &self.started),
             ("completed", &self.completed),
@@ -235,7 +233,6 @@ impl CampaignCounters {
             ("warm_misses", &self.warm_misses),
             ("device_evals", &self.device_evals),
             ("device_reuses", &self.device_reuses),
-            ("bypass_hits", &self.bypass_hits),
             ("restamp_incremental", &self.restamp_incremental),
             ("restamp_full", &self.restamp_full),
             ("corners_retried", &self.corners_retried),
@@ -289,8 +286,6 @@ impl CampaignCounters {
             .fetch_add(stats.device_evals, Ordering::Relaxed);
         self.device_reuses
             .fetch_add(stats.device_reuses, Ordering::Relaxed);
-        self.bypass_hits
-            .fetch_add(stats.bypass_hits, Ordering::Relaxed);
         self.restamp_incremental
             .fetch_add(stats.restamp_incremental, Ordering::Relaxed);
         self.restamp_full
@@ -378,8 +373,6 @@ pub struct SolverMetrics {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
-    /// Device evaluations skipped by the tolerance bypass.
-    pub bypass_hits: u64,
     /// Jacobian passes that restamped only operating-point-dependent slots.
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element.
@@ -412,15 +405,15 @@ impl SolverMetrics {
         }
     }
 
-    /// Fraction of device-evaluation requests answered from a cache —
-    /// exact-bit reuse or tolerance bypass (0 when none ran).
+    /// Fraction of device-evaluation requests answered by an exact-bit
+    /// cache hit: reuses / (evals + reuses), 0 when none ran.
     #[must_use]
-    pub fn bypass_hit_rate(&self) -> f64 {
-        let total = self.device_evals + self.device_reuses + self.bypass_hits;
+    pub fn device_cache_hit_rate(&self) -> f64 {
+        let total = self.device_evals + self.device_reuses;
         if total == 0 {
             0.0
         } else {
-            (self.device_reuses + self.bypass_hits) as f64 / total as f64
+            self.device_reuses as f64 / total as f64
         }
     }
 
@@ -505,7 +498,6 @@ impl CampaignCounters {
                     warm_start_misses: self.warm_misses.load(Ordering::Relaxed),
                     device_evals: self.device_evals.load(Ordering::Relaxed),
                     device_reuses: self.device_reuses.load(Ordering::Relaxed),
-                    bypass_hits: self.bypass_hits.load(Ordering::Relaxed),
                     restamp_incremental: self.restamp_incremental.load(Ordering::Relaxed),
                     restamp_full: self.restamp_full.load(Ordering::Relaxed),
                     newton_per_die_p50: newton.p50_ns,

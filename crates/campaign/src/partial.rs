@@ -376,6 +376,24 @@ mod tests {
     }
 
     #[test]
+    fn decode_accepts_documents_that_still_carry_bypass_hits() {
+        // Partials written while the device bypass existed carry a
+        // `bypass_hits` scalar; decoding ignores it.
+        let mut spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        spec.corners.truncate(1);
+        let text = partial_to_json(&shard_partial(&spec, 0, 4));
+        assert!(!text.contains("bypass"));
+        let old = with_fresh_checksum(&text.replacen(
+            "\"device_reuses\":",
+            "\"bypass_hits\":11,\"device_reuses\":",
+            1,
+        ));
+        assert!(old.contains("\"bypass_hits\":11"));
+        let back = partial_from_json(&old).unwrap();
+        assert_eq!(partial_to_json(&back), text);
+    }
+
+    #[test]
     fn decode_accepts_documents_without_the_polish_counters() {
         // Partials written before the polish counters existed lack both
         // keys; they decode with the counters at zero.

@@ -392,8 +392,8 @@ pub fn metrics_json(run: &CampaignRun) -> String {
              \"cluster_maps\":{cmaps},\"selfheat_iterations\":{selfheat},\
              \"warm_start_hits\":{hits},\"warm_start_misses\":{misses},\
              \"warm_hit_rate\":{hitrate},\"device_evals\":{devevals},\
-             \"device_reuses\":{devreuses},\"bypass_hits\":{byphits},\
-             \"bypass_hit_rate\":{byprate},\
+             \"device_reuses\":{devreuses},\
+             \"device_cache_hit_rate\":{cacherate},\
              \"restamp_incremental\":{rsincr},\"restamp_full\":{rsfull},\
              \"restamp_savings\":{rssave},\"newton_per_die_p50\":{np50},\
              \"newton_per_die_p99\":{np99}}},\n",
@@ -426,8 +426,7 @@ pub fn metrics_json(run: &CampaignRun) -> String {
         hitrate = num(m.solver.warm_hit_rate()),
         devevals = m.solver.device_evals,
         devreuses = m.solver.device_reuses,
-        byphits = m.solver.bypass_hits,
-        byprate = num(m.solver.bypass_hit_rate()),
+        cacherate = num(m.solver.device_cache_hit_rate()),
         rsincr = m.solver.restamp_incremental,
         rsfull = m.solver.restamp_full,
         rssave = num(m.solver.restamp_savings()),

@@ -227,13 +227,6 @@ pub struct CampaignSpec {
     /// field is deliberately **not** part of the aggregate artifacts and
     /// warm/cold aggregates compare equal.
     pub warm_start: bool,
-    /// Skip device re-evaluation inside Newton when controlling voltages
-    /// barely moved (SPICE-style bypass). Accepted solutions are
-    /// re-verified with the bypass suspended, so — like `warm_start` —
-    /// this is a pure speed knob, deliberately **not** part of the
-    /// aggregate artifacts; bypassed and bypass-free aggregates compare
-    /// byte-identical.
-    pub bypass: bool,
     /// Factor circuit Jacobians through the frozen symbolic sparsity plan
     /// instead of dense LU. Bitwise-identical results either way — kept
     /// as a switch for ablation benchmarks, not part of the aggregate
@@ -283,7 +276,6 @@ impl CampaignSpec {
             seed,
             bench: BenchProfile::Paper,
             warm_start: true,
-            bypass: true,
             sparse: true,
             faults: FaultSpec::none(),
             retry_budget: 3,

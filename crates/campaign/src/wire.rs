@@ -56,7 +56,7 @@ pub fn spec_to_json(spec: &CampaignSpec) -> String {
             "\"window\":{{\"eg_min\":{egl},\"eg_max\":{egh},",
             "\"xti_min\":{xtl},\"xti_max\":{xth}}},",
             "\"seed\":\"{seed}\",\"bench\":\"{bench}\",",
-            "\"warm_start\":{warm},\"bypass\":{bypass},\"sparse\":{sparse},",
+            "\"warm_start\":{warm},\"sparse\":{sparse},",
             "\"faults\":{{\"noise_probability\":{fnp},\"noise_sigma_volts\":{fns},",
             "\"stuck_probability\":{fsp},\"drop_probability\":{fdp},",
             "\"drift_sigma_volts\":{fds},\"nan_probability\":{fnn}}},",
@@ -88,7 +88,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> String {
             BenchProfile::Ideal => "ideal",
         },
         warm = spec.warm_start,
-        bypass = spec.bypass,
         sparse = spec.sparse,
         fnp = num(f.noise_probability),
         fns = num(f.noise_sigma_volts),
@@ -253,7 +252,6 @@ pub fn spec_from_value(v: &Json) -> Result<CampaignSpec, CampaignError> {
         seed,
         bench,
         warm_start: want_bool(v, "warm_start")?,
-        bypass: want_bool(v, "bypass")?,
         sparse: want_bool(v, "sparse")?,
         faults,
         retry_budget,
@@ -335,6 +333,37 @@ mod tests {
         assert!(text.contains("\"adaptive\":true"));
         assert_eq!(spec_from_json(&text).unwrap(), s);
         assert_ne!(spec_fingerprint(&s), spec_fingerprint(&base));
+    }
+
+    /// A 2x2, single-corner, seed-9 paper-default spec line as builds
+    /// with the device bypass wrote it (submit requests, checkpoints).
+    const OLD_BYPASS_SPEC: &str = concat!(
+        "{\"schema\":\"icvbe-campaign-spec-v1\",\"wafer\":{\"rows\":2,\"cols\":2,",
+        "\"circular\":false},\"variation\":{\"is_sigma\":0.08,\"bias_mismatch_sigma\":0.004,",
+        "\"readout_offset_mean\":0,\"readout_offset_sigma\":0.00003,\"opamp_offset_sigma\":0.002,",
+        "\"leak_scale_mean\":1.5,\"leak_scale_sigma\":0.35,\"rth_sigma\":0.15},",
+        "\"corners\":[{\"name\":\"low\",\"ic\":0.0000005}],\"plan\":{\"cold\":-25,",
+        "\"reference\":25,\"hot\":75},\"window\":{\"eg_min\":1.05,\"eg_max\":1.25,",
+        "\"xti_min\":0,\"xti_max\":6},\"seed\":\"9\",\"bench\":\"paper\",\"warm_start\":true,",
+        "\"bypass\":true,\"sparse\":true,\"faults\":{\"noise_probability\":0,",
+        "\"noise_sigma_volts\":0,\"stuck_probability\":0,\"drop_probability\":0,",
+        "\"drift_sigma_volts\":0,\"nan_probability\":0},\"retry_budget\":3,",
+        "\"robust\":true}",
+    );
+
+    #[test]
+    fn decode_accepts_an_old_spec_line_that_still_carries_bypass() {
+        // The field is ignored; the spec re-encodes without it, so its
+        // fingerprint is not the one the old build stamped.
+        let mut want = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        want.corners.truncate(1);
+        let decoded = spec_from_json(OLD_BYPASS_SPEC).unwrap();
+        assert_eq!(decoded, want);
+        assert_eq!(
+            spec_to_json(&decoded),
+            OLD_BYPASS_SPEC.replace("\"bypass\":true,", "")
+        );
+        assert_ne!(spec_fingerprint(&decoded), 0x9956_5966_530c_254a);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::fmt;
 
 use icvbe_bandgap::pair::CompiledPair;
 use icvbe_core::meijer::{MeijerMeasurement, MeijerPoint};
-use icvbe_spice::solver::{BypassOptions, DcOptions};
+use icvbe_spice::solver::DcOptions;
 use icvbe_spice::workspace::{SolveStats, SolveWorkspace};
 use icvbe_thermal::chamber::ThermalChamber;
 use icvbe_thermal::network::ThermalPath;
@@ -99,17 +99,12 @@ pub struct PairCampaignPoint {
 /// How the compiled measurement path drives the circuit solver.
 ///
 /// Every switch is a pure speed/observability knob: polishing (always on
-/// for campaigns) plus the solver's exact-mode re-verification make the
-/// measured points bit-identical across all eight combinations — only the
-/// iteration and bypass counters differ.
+/// for campaigns) makes the measured points bit-identical across all four
+/// combinations — only the iteration and stamping counters differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveMode {
     /// Seed each circuit solve from the previous converged solution.
     pub warm_start: bool,
-    /// Skip device re-evaluation inside Newton when controlling voltages
-    /// moved less than the bypass tolerance (re-verified exactly on
-    /// acceptance).
-    pub bypass: bool,
     /// Factor through the frozen symbolic sparsity plan instead of dense
     /// LU (bitwise-identical results).
     pub sparse: bool,
@@ -119,19 +114,17 @@ impl Default for SolveMode {
     fn default() -> Self {
         SolveMode {
             warm_start: true,
-            bypass: true,
             sparse: true,
         }
     }
 }
 
 impl SolveMode {
-    /// The ablation baseline: cold starts, no bypass, dense LU.
+    /// The ablation baseline: cold starts, dense LU.
     #[must_use]
     pub fn baseline() -> Self {
         SolveMode {
             warm_start: false,
-            bypass: false,
             sparse: false,
         }
     }
@@ -299,15 +292,11 @@ impl TestStructureBench {
     }
 
     /// [`TestStructureBench::campaign_dc_options`] specialized to a
-    /// [`SolveMode`]: the sparse switch maps directly, and `bypass`
-    /// enables the device bypass at its default tolerances.
+    /// [`SolveMode`]: the sparse switch maps directly.
     #[must_use]
     pub fn campaign_dc_options_with(mode: SolveMode) -> DcOptions {
         let mut options = TestStructureBench::campaign_dc_options();
         options.sparse = mode.sparse;
-        if mode.bypass {
-            options.bypass = BypassOptions::active();
-        }
         options
     }
 
@@ -320,9 +309,9 @@ impl TestStructureBench {
     /// seeded from the previous converged solution — across self-heating
     /// iterations *and* across setpoints. Solves run with
     /// [`TestStructureBench::campaign_dc_options_with`] (Newton polishing
-    /// plus the mode's sparse/bypass switches), so the measured points are
+    /// plus the mode's sparse switch), so the measured points are
     /// bit-identical across every [`SolveMode`]; only the iteration and
-    /// bypass counters differ.
+    /// stamping counters differ.
     ///
     /// # Errors
     ///

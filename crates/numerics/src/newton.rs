@@ -101,25 +101,6 @@ pub trait NonlinearSystem {
         self.residual(x, f)?;
         self.jacobian(x, jac)
     }
-
-    /// Switches the system between its default (possibly approximate) and
-    /// an exact evaluation mode. Systems with tolerance-based fast paths —
-    /// the SPICE device bypass reuses a device's previous operating point
-    /// when its controlling voltages barely moved — must honor
-    /// `set_exact(true)` by evaluating every device fully, so the solver
-    /// can verify convergence and polish the accepted solution against the
-    /// *exact* system. Systems without fast paths ignore this (default).
-    fn set_exact(&self, exact: bool) {
-        let _ = exact;
-    }
-
-    /// Whether evaluations in the current mode may differ from exact-mode
-    /// evaluations (i.e. a tolerance fast path is armed and enabled).
-    /// The solver uses this to skip the exact re-verification entirely for
-    /// ordinary systems; the default is `false`.
-    fn residual_is_approximate(&self) -> bool {
-        false
-    }
 }
 
 /// Outcome of a converged Newton solve.
@@ -325,58 +306,28 @@ pub fn solve_newton_with(
     ws.ensure(n);
     let (mut info, jac_at_x) = newton_damped(system, x, options, ws)?;
     if options.polish {
-        // Polish against the exact system: the fixed point (and its
-        // canonical cluster member) must be a pure function of the system,
-        // so a tolerance fast path may not leak into the map here.
-        system.set_exact(true);
         (info.polish_iterations, info.cluster_maps) =
             polish_to_fixed_point(system, x, ws, jac_at_x);
-        system.set_exact(false);
     }
     Ok(info)
 }
 
-/// Evaluates `f(x)` into `f` and, with `fuse`, `J(x)` into `jac` in the
-/// same pass. Returns whether `jac` now holds `J(x)`. A failed fused pass
-/// is retried residual-only, so a residual failure surfaces exactly as on
-/// the residual-only path and a Jacobian failure surfaces from the
-/// Jacobian pass that needs it.
+/// Evaluates `f(x)` into `f` and `J(x)` into `jac` in one pass. Returns
+/// whether `jac` now holds `J(x)`. A failed fused pass is retried
+/// residual-only, so a residual failure surfaces exactly as on the
+/// residual-only path and a Jacobian failure surfaces from the Jacobian
+/// pass that needs it.
 fn eval_at(
     system: &impl NonlinearSystem,
     x: &[f64],
     f: &mut [f64],
     jac: &mut Matrix,
-    fuse: bool,
 ) -> Result<bool, NumericsError> {
-    if fuse && system.residual_and_jacobian(x, f, jac).is_ok() {
+    if system.residual_and_jacobian(x, f, jac).is_ok() {
         return Ok(true);
     }
     system.residual(x, f)?;
     Ok(false)
-}
-
-/// Re-verifies an accept-candidate residual against the exact system when
-/// the current evaluation mode is approximate (device bypass armed).
-/// Updates `f` and `fnorm` in place; a no-op for ordinary systems. The
-/// caller re-checks its acceptance condition against the refreshed norm and
-/// keeps iterating when the exact residual no longer passes — so every
-/// *accepted* solution satisfies the convergence test with no bypass
-/// shortcuts in effect.
-fn exactify(
-    system: &impl NonlinearSystem,
-    x: &[f64],
-    f: &mut [f64],
-    fnorm: &mut f64,
-) -> Result<(), NumericsError> {
-    if !system.residual_is_approximate() {
-        return Ok(());
-    }
-    system.set_exact(true);
-    let result = system.residual(x, f);
-    system.set_exact(false);
-    result?;
-    *fnorm = inf_norm(f);
-    Ok(())
 }
 
 /// [`solve_newton_with`] bracketed by an [`icvbe_trace::SpanKind::Newton`]
@@ -419,15 +370,13 @@ fn damped_info(iterations: usize, residual_norm: f64) -> NewtonInfo {
 /// The damped phase: the historical `solve_newton` algorithm, with every
 /// temporary drawn from the workspace. Returns the outcome and whether
 /// the workspace Jacobian holds `J(x)` at the accepted `x`; `ws.f` holds
-/// the exact residual there on every successful return.
+/// the residual there on every successful return.
 ///
-/// With exact evaluations, the initial point and every full-step trial
-/// are stamped once for residual and Jacobian together, and an accepted
-/// full step hands its Jacobian to the next iteration. Iterates, counts
-/// and errors are those of separate residual and Jacobian passes: both
-/// routes produce the same bits. Approximate (bypass-armed) evaluations
-/// stay residual-only, because an exact re-verification between two
-/// passes at one point would leave a Jacobian from other device states.
+/// The initial point and every full-step trial are stamped once for
+/// residual and Jacobian together, and an accepted full step hands its
+/// Jacobian to the next iteration. Iterates, counts and errors are those
+/// of separate residual and Jacobian passes: both routes produce the same
+/// bits.
 fn newton_damped(
     system: &impl NonlinearSystem,
     x: &mut [f64],
@@ -440,17 +389,12 @@ fn newton_damped(
             "newton workspace jacobian not sized",
         ));
     };
-    let fuse = !system.residual_is_approximate();
-    let mut jac_at_x = eval_at(system, x, &mut ws.f, jac, fuse)?;
+    let mut jac_at_x = eval_at(system, x, &mut ws.f, jac)?;
     let mut fnorm = inf_norm(&ws.f);
 
     for iter in 0..options.max_iterations {
         if fnorm <= options.residual_tolerance {
-            exactify(system, x, &mut ws.f, &mut fnorm)?;
-            if fnorm <= options.residual_tolerance {
-                return Ok((damped_info(iter, fnorm), jac_at_x));
-            }
-            // The exact residual no longer passes: keep iterating on it.
+            return Ok((damped_info(iter, fnorm), jac_at_x));
         }
         if !jac_at_x {
             system.jacobian(x, jac)?;
@@ -479,7 +423,7 @@ fn newton_damped(
                 ws.trial[i] = x[i] + damping * ws.dx[i];
             }
             let evaluated = if halving == 0 {
-                eval_at(system, &ws.trial, &mut ws.f_trial, jac, fuse)
+                eval_at(system, &ws.trial, &mut ws.f_trial, jac)
             } else {
                 system.residual(&ws.trial, &mut ws.f_trial).map(|()| false)
             };
@@ -503,7 +447,6 @@ fn newton_damped(
                 ws.trial[i] = x[i] + damping * ws.dx[i];
             }
             if ws.trial == x {
-                exactify(system, x, &mut ws.f, &mut fnorm)?;
                 if fnorm <= options.acceptable_residual {
                     return Ok((damped_info(iter, fnorm), false));
                 }
@@ -527,17 +470,11 @@ fn newton_damped(
         if inf_norm(&ws.dx) * damping <= options.step_tolerance
             && fnorm <= options.residual_tolerance.max(1e-9)
         {
-            exactify(system, x, &mut ws.f, &mut fnorm)?;
-            if fnorm <= options.residual_tolerance.max(1e-9) {
-                return Ok((damped_info(iter + 1, fnorm), jac_at_x));
-            }
+            return Ok((damped_info(iter + 1, fnorm), jac_at_x));
         }
     }
     if fnorm <= options.acceptable_residual {
-        exactify(system, x, &mut ws.f, &mut fnorm)?;
-        if fnorm <= options.acceptable_residual {
-            return Ok((damped_info(options.max_iterations, fnorm), jac_at_x));
-        }
+        return Ok((damped_info(options.max_iterations, fnorm), jac_at_x));
     }
     Err(NumericsError::NoConvergence {
         iterations: options.max_iterations,
@@ -579,7 +516,7 @@ const CYCLE_SPAN_ULPS: u64 = 4;
 /// the polish and keep the already-converged iterate; the cap bounds the
 /// cost.
 ///
-/// Starts from the damped phase's accepted point: `ws.f` holds its exact
+/// Starts from the damped phase's accepted point: `ws.f` holds its
 /// residual, and `jac_at_x` says whether `ws.jac` holds its Jacobian, so
 /// neither is stamped again. Each trial is stamped once for residual and
 /// Jacobian, and the Jacobian serves the next step; a trial that closes a
@@ -631,7 +568,7 @@ fn polish_to_fixed_point(
             ws.cluster_norms[..2].copy_from_slice(&[fnorm, prev_norm]);
             return (iter + 1, canonicalize_cluster(system, x, ws, 2));
         }
-        match eval_at(system, &ws.trial, &mut ws.f_trial, jac, true) {
+        match eval_at(system, &ws.trial, &mut ws.f_trial, jac) {
             Ok(jac_at_trial) => jac_at_x = jac_at_trial,
             Err(_) => return (iter, 0),
         }
@@ -1061,54 +998,6 @@ mod tests {
         let expected = 0.026 * (1e-3_f64 / 1e-14 + 1.0).ln();
         assert!((x1[0] - expected).abs() < 1e-9);
         sparse_ws.use_dense();
-    }
-
-    /// A 1-D system with a deliberately sloppy fast path: in fast mode the
-    /// residual is evaluated at `x` quantized to a 1e-6 grid (a stand-in
-    /// for tolerance-based device bypass); exact mode uses `x` itself.
-    struct Quantized {
-        exact: std::cell::Cell<bool>,
-    }
-
-    impl NonlinearSystem for Quantized {
-        fn dimension(&self) -> usize {
-            1
-        }
-        fn residual(&self, x: &[f64], out: &mut [f64]) -> Result<(), NumericsError> {
-            let xe = if self.exact.get() {
-                x[0]
-            } else {
-                (x[0] * 1e6).round() / 1e6
-            };
-            out[0] = xe - 2.0;
-            Ok(())
-        }
-        fn jacobian(&self, _x: &[f64], out: &mut Matrix) -> Result<(), NumericsError> {
-            out[(0, 0)] = 1.0;
-            Ok(())
-        }
-        fn set_exact(&self, exact: bool) {
-            self.exact.set(exact);
-        }
-        fn residual_is_approximate(&self) -> bool {
-            !self.exact.get()
-        }
-    }
-
-    #[test]
-    fn approximate_systems_are_reverified_exactly_at_acceptance() {
-        // The start sits inside the fast path's quantization cell around
-        // the root: the *fast* residual is exactly zero there, so a solver
-        // without exact re-verification would accept the start unchanged.
-        let sys = Quantized {
-            exact: std::cell::Cell::new(false),
-        };
-        let mut ws = NewtonWorkspace::new();
-        let mut x = [2.0 + 3.4e-7];
-        let info = solve_newton_with(&sys, &mut x, NewtonOptions::default(), &mut ws).unwrap();
-        assert_eq!(x[0], 2.0, "accepted solution must solve the exact system");
-        assert!(info.iterations > 0, "fast-path zero must not be accepted");
-        assert!(!sys.exact.get(), "solver must leave fast mode re-armed");
     }
 
     /// x^2 + y^2 = r2, x - y = 0: a family of distinct systems of one

@@ -28,15 +28,9 @@
 //! [`VEXP_OVERFLOW`] and to `+0.0` below [`VEXP_UNDERFLOW`], matching libm
 //! `exp` semantics; NaN propagates; `±0 → 1` exactly.
 //!
-//! # Ablation switch
-//!
-//! [`set_libm_backend`] routes every entry point back through `f64::exp`
-//! at runtime — the `--libm-exp` campaign ablation. The switch is a
-//! process-global relaxed atomic read hoisted out of the slice loops; the
-//! libm call lives only here, which is what lets the repo gate "no libm
-//! `exp` in hot paths" by grep.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! libm `exp` appears only in this module's tests, as the accuracy
+//! oracle, which is what lets the repo gate "no libm `exp` in hot paths"
+//! by grep.
 
 /// `log2(e)`: scales the reduction to base 2.
 const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -73,23 +67,6 @@ const C: [f64; 11] = [
     1.666_666_666_666_668_517_03e-1,
     5e-1,
 ];
-
-/// Process-global ablation switch: when set, every entry point routes
-/// through libm `f64::exp` instead of the in-tree kernel.
-static USE_LIBM: AtomicBool = AtomicBool::new(false);
-
-/// Selects the libm backend (`true`) or the in-tree kernel (`false`,
-/// the default). Used by the `--libm-exp` campaign ablation; flip it
-/// before any solves run — the switch is process-global.
-pub fn set_libm_backend(on: bool) {
-    USE_LIBM.store(on, Ordering::Relaxed);
-}
-
-/// Whether the libm ablation backend is active.
-#[must_use]
-pub fn libm_backend() -> bool {
-    USE_LIBM.load(Ordering::Relaxed)
-}
 
 /// The shared straight-line core: every public form calls exactly this,
 /// which is what makes scalar and lane results bit-identical.
@@ -151,8 +128,7 @@ fn exp_core(x: f64) -> f64 {
     }
 }
 
-/// Scalar form: `e^x` through the deterministic kernel (or libm when the
-/// ablation backend is active).
+/// Scalar form: `e^x` through the deterministic kernel.
 ///
 /// # Examples
 ///
@@ -168,9 +144,6 @@ fn exp_core(x: f64) -> f64 {
 #[must_use]
 #[inline]
 pub fn vexp(x: f64) -> f64 {
-    if libm_backend() {
-        return x.exp();
-    }
     exp_core(x)
 }
 
@@ -182,12 +155,6 @@ pub fn vexp(x: f64) -> f64 {
 #[inline]
 pub fn vexp_lanes<const N: usize>(xs: &[f64; N]) -> [f64; N] {
     let mut out = [0.0; N];
-    if libm_backend() {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = x.exp();
-        }
-        return out;
-    }
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = exp_core(x);
     }
@@ -196,20 +163,13 @@ pub fn vexp_lanes<const N: usize>(xs: &[f64; N]) -> [f64; N] {
 
 /// Slice form for variable-length batches (robust/IRLS model paths, the
 /// per-device junction block in `limexp_lanes`): `out[i] = e^(xs[i])`,
-/// bit-identical to [`vexp`] per element. The backend switch is read
-/// once, outside the loop.
+/// bit-identical to [`vexp`] per element.
 ///
 /// # Panics
 ///
 /// Panics if `out` is shorter than `xs`.
 pub fn vexp_slice(xs: &[f64], out: &mut [f64]) {
     let out = &mut out[..xs.len()];
-    if libm_backend() {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            *o = x.exp();
-        }
-        return;
-    }
     for (o, &x) in out.iter_mut().zip(xs) {
         *o = exp_core(x);
     }

@@ -3,18 +3,17 @@
 //!
 //! ```text
 //! repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR] [--cold]
-//!                [--no-bypass] [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]
+//!                [--faults SPEC] [--retries N] [--no-robust] [--trace[=DIR]]
 //!                [--chaos SPEC] [--chaos-seed S] [--die-iter-budget N] [--die-wall-ms MS]
-//!                [--shards N] [--adaptive | --exhaustive] [--libm-exp]
+//!                [--shards N] [--adaptive | --exhaustive]
 //! ```
 //!
 //! `--dies N` picks the smallest circular wafer holding at least `N`
 //! dies; `--diameter D` sets the wafer diameter (in dies) directly. The
 //! aggregate artifacts written by `--out` are bit-identical for any
 //! `--threads` value (see `icvbe-campaign`'s determinism guarantee), and
-//! also with `--cold`, which disables solver warm starting, and with
-//! `--no-bypass`, which disables the SPICE-style device-evaluation bypass
-//! — both useful to measure a speedup while verifying it changes nothing.
+//! also with `--cold`, which disables solver warm starting — useful to
+//! measure a speedup while verifying it changes nothing.
 //!
 //! `--faults SPEC` corrupts every die's measurement deterministically:
 //! `light`/`heavy` presets or `k=v` pairs (`noise=0.05,drop=0.01,...`, see
@@ -44,12 +43,6 @@
 //! the count depends on the warm-start seeds, see `help`);
 //! `--die-wall-ms` is the wall-clock analogue and the one knowingly
 //! nondeterministic knob.
-//!
-//! `--libm-exp` swaps the in-tree `vexp` exponential kernel for libm's
-//! `f64::exp` everywhere — the benchmarking ablation of the vectorizable
-//! kernel. It changes the accepted bits (libm is platform-dependent), and
-//! it propagates into shard workers so the cross-shard byte-identity
-//! contract holds under the ablation too.
 //!
 //! The subcommand's exit code distinguishes *could not run* (1) from
 //! *ran, but every corner failed the spec window* (2) — see [`help`] and
@@ -81,9 +74,6 @@ pub struct CampaignCliArgs {
     pub out: Option<PathBuf>,
     /// Disable solver warm starting (ablation / verification mode).
     pub cold: bool,
-    /// Device-evaluation bypass inside Newton (`--no-bypass` clears it;
-    /// ablation / verification mode, same contract as `cold`).
-    pub bypass: bool,
     /// Deterministic measurement corruption (all-zero = off).
     pub faults: FaultSpec,
     /// Override of the per-corner retry budget (`None` = spec default).
@@ -116,10 +106,6 @@ pub struct CampaignCliArgs {
     /// Explicit exhaustive ablation (`--exhaustive`, the default
     /// behaviour); conflicts with `--adaptive`.
     pub exhaustive: bool,
-    /// Route every `vexp` call through libm's `f64::exp` (`--libm-exp`).
-    /// Ablation knob for benchmarking the in-tree kernel; changes the
-    /// accepted bits, so it propagates to shard workers.
-    pub libm_exp: bool,
 }
 
 impl Default for CampaignCliArgs {
@@ -130,7 +116,6 @@ impl Default for CampaignCliArgs {
             seed: 2002,
             out: None,
             cold: false,
-            bypass: true,
             faults: FaultSpec::none(),
             retries: None,
             robust: true,
@@ -143,7 +128,6 @@ impl Default for CampaignCliArgs {
             shards: 0,
             adaptive: false,
             exhaustive: false,
-            libm_exp: false,
         }
     }
 }
@@ -207,9 +191,6 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
             "--cold" => {
                 out.cold = true;
             }
-            "--no-bypass" => {
-                out.bypass = false;
-            }
             "--faults" => {
                 let v = value("--faults", it.next())?;
                 out.faults = FaultSpec::parse(&v).map_err(|e| e.detail)?;
@@ -259,9 +240,6 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
             "--exhaustive" => {
                 out.exhaustive = true;
             }
-            "--libm-exp" => {
-                out.libm_exp = true;
-            }
             "--trace" => {
                 out.trace = true;
             }
@@ -277,10 +255,10 @@ pub fn parse_args(args: &[String]) -> Result<CampaignCliArgs, String> {
                 return Err(format!(
                     "unknown campaign argument {other:?} \
                      (usage: campaign [--dies N | --diameter D] [--threads N] [--seed S] \
-                     [--out DIR] [--cold] [--no-bypass] [--faults SPEC] [--retries N] \
+                     [--out DIR] [--cold] [--faults SPEC] [--retries N] \
                      [--no-robust] [--trace[=DIR]] [--chaos SPEC] \
                      [--chaos-seed S] [--die-iter-budget N] [--die-wall-ms MS] \
-                     [--shards N] [--adaptive | --exhaustive] [--libm-exp])"
+                     [--shards N] [--adaptive | --exhaustive])"
                 ));
             }
         }
@@ -402,12 +380,11 @@ pub fn render(run: &CampaignRun) -> String {
     );
     let _ = writeln!(
         s,
-        "  stamping: device cache hit rate {:.1}% ({} evals, {} exact reuses, \
-         {} bypasses), incremental restamp {:.1}% ({} incremental, {} full)",
-        solver.bypass_hit_rate() * 100.0,
+        "  stamping: device cache hit rate {:.1}% ({} evals, {} exact reuses), \
+         incremental restamp {:.1}% ({} incremental, {} full)",
+        solver.device_cache_hit_rate() * 100.0,
         solver.device_evals,
         solver.device_reuses,
-        solver.bypass_hits,
         solver.restamp_savings() * 100.0,
         solver.restamp_incremental,
         solver.restamp_full,
@@ -472,10 +449,10 @@ fn fmt_ns(ns: u64) -> String {
 #[must_use]
 pub fn help() -> String {
     "repro campaign [--dies N | --diameter D] [--threads N] [--seed S] [--out DIR]\n\
-     \x20              [--cold] [--no-bypass] [--faults SPEC] [--retries N] [--no-robust]\n\
+     \x20              [--cold] [--faults SPEC] [--retries N] [--no-robust]\n\
      \x20              [--trace[=DIR]] [--chaos SPEC] [--chaos-seed S]\n\
      \x20              [--die-iter-budget N] [--die-wall-ms MS] [--shards N]\n\
-     \x20              [--adaptive | --exhaustive] [--libm-exp]\n\
+     \x20              [--adaptive | --exhaustive]\n\
      \n\
      Runs a wafer-scale IC(VBE) extraction campaign and prints a summary;\n\
      --out writes the JSON/CSV report artifacts (bit-identical at any\n\
@@ -501,10 +478,7 @@ pub fn help() -> String {
      --chaos). --adaptive probes each die on its first corner and runs\n\
      the remaining corners only when the probe looks suspicious; clean\n\
      dies report those corners as skipped. --exhaustive is the explicit\n\
-     full-plan ablation (the default). --libm-exp routes every exp through\n\
-     libm instead of the in-tree vexp kernel — the benchmarking ablation;\n\
-     it changes the accepted bits and propagates into shard workers, so\n\
-     artifacts stay byte-identical across threads/shards either way.\n\
+     full-plan ablation (the default).\n\
      \n\
      Exit codes:\n\
      \x20 0  campaign ran and at least one corner measurement passed the spec window\n\
@@ -529,12 +503,8 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
         return Ok((help(), 0));
     }
     let cli = parse_args(args)?;
-    // Process-wide backend switch: must act before any die is solved,
-    // and again inside every shard worker (bits change with it).
-    icvbe_numerics::vexp::set_libm_backend(cli.libm_exp);
     let mut spec = CampaignSpec::paper_default(WaferMap::circular(cli.diameter), cli.seed);
     spec.warm_start = !cli.cold;
-    spec.bypass = cli.bypass;
     spec.faults = cli.faults;
     spec.robust = cli.robust;
     spec.adaptive = cli.adaptive;
@@ -550,7 +520,6 @@ pub fn run_cli_status(args: &[String]) -> Result<(String, u8), String> {
             shards: cli.shards,
             threads: cli.threads,
             budget,
-            libm_exp: cli.libm_exp,
             worker_exe: None,
         };
         run_sharded(&spec, &opts).map_err(|e| e.to_string())?
@@ -791,8 +760,10 @@ mod tests {
         assert!(parse_args(&sv(&["--shards", "2", "--chaos", "die_panic=0.5"])).is_err());
         // --exhaustive alone is the explicit default, always valid.
         assert!(parse_args(&sv(&["--exhaustive"])).is_ok());
-        // There is no lane-count flag.
-        assert!(parse_args(&sv(&["--batch", "4"])).is_err());
+        // There is no lane-count, bypass or exp-backend flag.
+        for gone in [&["--batch", "4"][..], &["--no-bypass"], &["--libm-exp"]] {
+            assert!(parse_args(&sv(gone)).is_err(), "{gone:?}");
+        }
     }
 
     #[test]
@@ -802,6 +773,7 @@ mod tests {
         assert!(text.contains("corner"));
         assert!(text.contains("nom"));
         assert!(text.contains("warm-start hit rate"));
+        assert!(text.contains("stamping: device cache hit rate"));
     }
 
     #[test]
@@ -827,31 +799,6 @@ mod tests {
             s[start..end].to_string()
         };
         assert_eq!(physics(&warm), physics(&cold));
-    }
-
-    #[test]
-    fn no_bypass_flag_disables_bypass_without_changing_results() {
-        let on = run_cli(&sv(&["--diameter", "3", "--threads", "1", "--seed", "9"])).unwrap();
-        let off = run_cli(&sv(&[
-            "--diameter",
-            "3",
-            "--threads",
-            "1",
-            "--seed",
-            "9",
-            "--no-bypass",
-        ]))
-        .unwrap();
-        assert!(off.contains(" 0 bypasses)"), "no-bypass summary:\n{off}");
-        assert!(on.contains("stamping: device cache hit rate"));
-        // Bypass is a pure speed knob: every physics number in the corner
-        // table is byte-identical with it on or off.
-        let physics = |s: &str| {
-            let start = s.find("\n\n  corner").unwrap();
-            let end = s.find("\n\n  solver:").unwrap();
-            s[start..end].to_string()
-        };
-        assert_eq!(physics(&on), physics(&off));
     }
 
     #[test]

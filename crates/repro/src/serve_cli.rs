@@ -8,7 +8,7 @@
 //!              [--chaos SPEC] [--chaos-seed S]
 //! repro submit [--addr HOST:PORT] [--tenant T] [--label L] [--out DIR]
 //!              [--no-wait] [spec flags: --dies N | --diameter D, --seed S,
-//!              --cold, --no-bypass, --faults SPEC, --retries N, --no-robust]
+//!              --cold, --faults SPEC, --retries N, --no-robust]
 //! repro watch  [--addr HOST:PORT] (--job N | --label L [--tenant T]) [--out DIR]
 //! ```
 //!
@@ -65,8 +65,6 @@ pub struct SpecCliArgs {
     pub seed: u64,
     /// Disable solver warm starting.
     pub cold: bool,
-    /// Device-evaluation bypass (`--no-bypass` clears it).
-    pub bypass: bool,
     /// Deterministic measurement corruption.
     pub faults: FaultSpec,
     /// Per-corner retry budget override.
@@ -81,7 +79,6 @@ impl Default for SpecCliArgs {
             diameter: 14,
             seed: 2002,
             cold: false,
-            bypass: true,
             faults: FaultSpec::none(),
             retries: None,
             robust: true,
@@ -95,7 +92,6 @@ impl SpecCliArgs {
     pub fn build(&self) -> CampaignSpec {
         let mut spec = CampaignSpec::paper_default(WaferMap::circular(self.diameter), self.seed);
         spec.warm_start = !self.cold;
-        spec.bypass = self.bypass;
         spec.faults = self.faults;
         spec.robust = self.robust;
         if let Some(budget) = self.retries {
@@ -132,7 +128,6 @@ impl SpecCliArgs {
                 self.seed = v.parse().map_err(|_| format!("bad --seed value {v:?}"))?;
             }
             "--cold" => self.cold = true,
-            "--no-bypass" => self.bypass = false,
             "--faults" => {
                 let v = value("--faults", next())?;
                 self.faults = FaultSpec::parse(&v).map_err(|e| e.detail)?;
@@ -288,7 +283,7 @@ pub fn parse_submit_args(args: &[String]) -> Result<SubmitCliArgs, String> {
                 return Err(format!(
                     "unknown submit argument {other:?} \
                      (usage: submit [--addr HOST:PORT] [--tenant T] [--label L] [--out DIR] \
-                     [--no-wait] [--dies N | --diameter D] [--seed S] [--cold] [--no-bypass] \
+                     [--no-wait] [--dies N | --diameter D] [--seed S] [--cold] \
                      [--faults SPEC] [--retries N] [--no-robust])"
                 ));
             }

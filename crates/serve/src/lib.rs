@@ -65,6 +65,8 @@
 
 pub mod client;
 pub mod daemon;
+#[cfg(test)]
+mod old_lines;
 pub mod protocol;
 pub mod service;
 pub mod shard;

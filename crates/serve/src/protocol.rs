@@ -260,6 +260,20 @@ mod tests {
     }
 
     #[test]
+    fn parses_an_old_submit_line_whose_spec_carries_bypass() {
+        let line = format!(
+            "{{\"cmd\":\"submit\",\"tenant\":\"acme\",\"label\":\"lot7\",\"stream\":false,\"spec\":{}}}",
+            crate::old_lines::SPEC_WITH_BYPASS
+        );
+        let mut want = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
+        want.corners.truncate(1);
+        match parse_request(&line).unwrap() {
+            Request::Submit { spec, .. } => assert_eq!(*spec, want),
+            other => panic!("expected Submit, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parses_submit_with_embedded_spec() {
         let spec = CampaignSpec::paper_default(WaferMap::full(2, 2), 9);
         let line = format!(

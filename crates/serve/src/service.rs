@@ -367,6 +367,11 @@ impl Inner {
     /// the rotated previous one. Each write stamps a fresh generation
     /// number (persisted inside the checkpoint) and a content checksum,
     /// so the recovery ladder can tell good files from torn ones.
+    ///
+    /// Only a primary that passes the recovery ladder's own check is
+    /// rotated: a torn primary (a write that reported success but left a
+    /// truncated file) would otherwise displace the last good generation,
+    /// so it is left for the new write to replace and `.prev` is kept.
     fn write_checkpoint(
         &self,
         meta: &CheckpointMeta<'_>,
@@ -387,7 +392,11 @@ impl Inner {
             escape(meta.spec_wire),
             escape(&campaign),
         );
-        if path.exists() {
+        let loadable = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| load_checkpoint_file(&text))
+            .is_some();
+        if loadable {
             let _ = std::fs::rename(&path, &prev);
         }
         let tmp = path.with_extension("json.tmp");
@@ -1287,6 +1296,24 @@ mod tests {
             }
         }
         lines
+    }
+
+    #[test]
+    fn an_old_checkpoint_decodes_but_fails_its_old_fingerprint_binding() {
+        use crate::old_lines::{SPEC_WITH_BYPASS, SPEC_WITH_BYPASS_FINGERPRINT};
+        let spec = spec_from_json(SPEC_WITH_BYPASS).unwrap();
+        let aggregate = CampaignAggregate::new(&spec);
+        let file = |fingerprint: u64| {
+            format!(
+                "{{\"schema\":\"{SERVE_CHECKPOINT_SCHEMA}\",\"job\":3,\"tenant\":\"acme\",\"label\":\"old\",\"spec\":\"{}\",\"campaign\":\"{}\"}}\n",
+                escape(SPEC_WITH_BYPASS),
+                escape(&checkpoint_to_json(fingerprint, 0, 1, &aggregate)),
+            )
+        };
+        // The spec line decodes, but the state was bound to the old bytes.
+        assert!(load_checkpoint_file(&file(SPEC_WITH_BYPASS_FINGERPRINT)).is_none());
+        let resumed = load_checkpoint_file(&file(spec_fingerprint(&spec))).unwrap();
+        assert_eq!(resumed.spec, spec);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! | direction | line |
 //! |---|---|
-//! | supervisor → worker | `{"cmd":"shard_run","version":1,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"libm_exp":0|1,"spec":{...}}` |
+//! | supervisor → worker | `{"cmd":"shard_run","version":1,"shard":i,"start_die":a,"end_die":b,"threads":t,"die_iter_budget":x,"die_wall_ms":y,"spec":{...}}` |
 //! | worker → supervisor | `{"type":"progress","shard":i,"folded":n}`* (cadenced) |
 //! | worker → supervisor (terminal) | the checksummed partial-aggregate document (`"schema":"icvbe-campaign-partial-v1"`) |
 //! | worker → supervisor (terminal) | `{"ok":false,"error":e,"detail":d}` |
@@ -148,11 +148,6 @@ pub struct ShardOptions {
     pub threads: usize,
     /// Per-die solve containment budget forwarded to every worker.
     pub budget: DieBudget,
-    /// Route worker exponentials through libm instead of the in-tree
-    /// `vexp` kernel (the benchmarking ablation). Changes the accepted
-    /// bits, so every worker must agree with the supervisor — the flag
-    /// rides the request line.
-    pub libm_exp: bool,
     /// Worker executable; `None` (the default) re-invokes the current
     /// executable with the `shard-worker` subcommand.
     pub worker_exe: Option<PathBuf>,
@@ -164,7 +159,6 @@ impl Default for ShardOptions {
             shards: 1,
             threads: 1,
             budget: DieBudget::default(),
-            libm_exp: false,
             worker_exe: None,
         }
     }
@@ -202,7 +196,7 @@ pub fn shard_request_line(
             "{{\"cmd\":\"shard_run\",\"version\":{version},\"shard\":{shard},",
             "\"start_die\":{start},\"end_die\":{end},\"threads\":{threads},",
             "\"die_iter_budget\":{iters},",
-            "\"die_wall_ms\":{wall},\"libm_exp\":{libm},\"spec\":{spec}}}"
+            "\"die_wall_ms\":{wall},\"spec\":{spec}}}"
         ),
         version = SHARD_PROTOCOL_VERSION,
         shard = shard,
@@ -211,7 +205,6 @@ pub fn shard_request_line(
         threads = opts.threads,
         iters = opts.budget.max_newton_iterations,
         wall = opts.budget.max_wall_ms,
-        libm = u8::from(opts.libm_exp),
         spec = spec_to_json(spec),
     )
 }
@@ -453,10 +446,6 @@ fn shard_worker_run(request: &str) -> Result<String, (String, String)> {
         max_newton_iterations: field("die_iter_budget")?,
         max_wall_ms: field("die_wall_ms")?,
     };
-    // The exp-backend ablation changes the accepted bits, so the worker
-    // must switch before it solves anything or its partial would fail the
-    // supervisor's cross-shard byte-identity contract.
-    icvbe_numerics::vexp::set_libm_backend(field("libm_exp")? != 0);
     let spec_v = v
         .get("spec")
         .ok_or_else(|| bad("request must carry a \"spec\" object"))?;
@@ -571,7 +560,6 @@ mod tests {
         let opts = ShardOptions {
             shards: 2,
             threads: 3,
-            libm_exp: true,
             ..ShardOptions::default()
         };
         let line = shard_request_line(&spec, 1, (2, 4), &opts);
@@ -581,12 +569,9 @@ mod tests {
         assert_eq!(v.get("start_die").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("end_die").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("threads").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("libm_exp").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            v.get("batch"),
-            None,
-            "the request no longer names a lane count"
-        );
+        for gone in ["batch", "libm_exp"] {
+            assert_eq!(v.get(gone), None, "the request no longer carries {gone:?}");
+        }
         let decoded = spec_from_value(v.get("spec").unwrap()).unwrap();
         assert_eq!(decoded, spec);
     }
@@ -612,6 +597,29 @@ mod tests {
         let from_new = partial_from_json(&shard_worker_run(&new).unwrap()).unwrap();
         assert_eq!(from_old.aggregate, from_new.aggregate);
         assert_eq!((from_old.start_die, from_old.end_die), (0, 4));
+    }
+
+    #[test]
+    fn worker_accepts_an_old_request_line_that_still_carries_libm_exp() {
+        // Request lines from builds with the libm exp switch carry
+        // `"libm_exp"`, and their specs `"bypass"`; a worker ignores both
+        // and runs the same slice to the same partial.
+        use crate::old_lines::SPEC_WITH_BYPASS;
+        let old = format!(
+            concat!(
+                "{{\"cmd\":\"shard_run\",\"version\":1,\"shard\":0,",
+                "\"start_die\":0,\"end_die\":4,\"threads\":1,",
+                "\"die_iter_budget\":0,",
+                "\"die_wall_ms\":0,\"libm_exp\":0,\"spec\":{}}}"
+            ),
+            SPEC_WITH_BYPASS
+        );
+        let spec = spec_from_value(&parse(SPEC_WITH_BYPASS).unwrap()).unwrap();
+        let new = shard_request_line(&spec, 0, (0, 4), &ShardOptions::default());
+        let from_old = partial_from_json(&shard_worker_run(&old).unwrap()).unwrap();
+        let from_new = partial_from_json(&shard_worker_run(&new).unwrap()).unwrap();
+        assert_eq!(from_old.aggregate, from_new.aggregate);
+        assert_eq!(from_old.fingerprint, spec_fingerprint(&spec));
     }
 
     #[test]

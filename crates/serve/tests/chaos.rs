@@ -388,3 +388,70 @@ fn torn_checkpoint_resumes_from_prev_slot_two_threads() {
 fn torn_checkpoint_resumes_from_prev_slot_eight_threads() {
     torn_checkpoint_resume_at(8, 0x7EA8);
 }
+
+/// Two torn checkpoint writes in a row must not cost the job: the second
+/// write finds a torn primary and has to leave the last good generation
+/// in `.prev` instead of rotating the torn file over it. Paused daemons
+/// make every write deterministic: the admission write and one shutdown
+/// write per stop, with no slice running in between.
+#[test]
+fn a_torn_primary_is_never_rotated_over_the_last_good_generation() {
+    let spec = spec(3, 0x7EA3);
+    let want = golden(&spec);
+    let ckdir = std::env::temp_dir().join("icvbe_serve_chaos_torn_rotation");
+    let _ = std::fs::remove_dir_all(&ckdir);
+    let paused = ServiceConfig {
+        paused: true,
+        checkpoint_dir: Some(ckdir.clone()),
+        ..ServiceConfig::default()
+    };
+
+    // Two good generations: the admission write, then the shutdown one.
+    let first = Daemon::start(paused.clone(), "127.0.0.1:0").expect("daemon 1");
+    let mut client = Client::connect(&first.local_addr().to_string()).expect("connect");
+    client
+        .submit("acme", "rotation", &spec, false)
+        .expect("submit");
+    first.stop();
+
+    // The newest generation is torn.
+    let primary = ckdir.join("job-1.json");
+    let bytes = std::fs::read(&primary).expect("primary checkpoint");
+    std::fs::write(&primary, &bytes[..bytes.len() - 17]).expect("tear tail");
+
+    // A restart resumes from `.prev`, and its shutdown write is torn too.
+    let torn_writes = ServiceConfig {
+        chaos: ChaosSpec {
+            torn_file_probability: 1.0,
+            ..ChaosSpec::none()
+        },
+        chaos_seed: 0x7EA3,
+        ..paused.clone()
+    };
+    let second = Daemon::start(torn_writes, "127.0.0.1:0").expect("daemon 2");
+    let stats = second.service().stats();
+    assert_eq!((stats.resumed, stats.resumed_fallback), (1, 1), "{stats:?}");
+    second.stop();
+
+    // The last good generation survived both torn writes.
+    let third = Daemon::start(
+        ServiceConfig {
+            paused: false,
+            ..paused
+        },
+        "127.0.0.1:0",
+    )
+    .expect("daemon 3");
+    let stats = third.service().stats();
+    assert_eq!(stats.dropped_corrupt, 0, "{stats:?}");
+    assert_eq!((stats.resumed, stats.resumed_fallback), (1, 1), "{stats:?}");
+    let mut watcher = Client::connect(&third.local_addr().to_string()).expect("connect");
+    watcher
+        .results(None, Some("rotation"), Some("acme"))
+        .expect("results");
+    let artifacts = watcher.wait_done(|_, _| {}).expect("resumed job");
+    assert_matches_golden(&artifacts, &want);
+
+    third.stop();
+    let _ = std::fs::remove_dir_all(&ckdir);
+}

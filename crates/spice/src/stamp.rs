@@ -91,10 +91,9 @@ pub const DEVICE_EVAL_SLOTS: usize = 8;
 /// Two layers: a *model* cache keyed on the raw bits of the temperature
 /// (holding the expensive `powf`-laden per-temperature card values) and an
 /// *evaluation* cache keyed on the raw bits of the controlling voltages
-/// (holding currents and conductances). Exact-bit reuse is always sound —
-/// the device equations are pure functions, so recomputing would produce
-/// identical bits — while tolerance-based reuse (SPICE bypass) is an
-/// opt-in approximation the solver re-verifies at acceptance.
+/// (holding currents and conductances). Reuse is exact-bit only, which is
+/// always sound: the device equations are pure functions, so recomputing
+/// would produce identical bits.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceSlot {
     temp_key: u64,
@@ -118,31 +117,12 @@ impl Default for DeviceSlot {
     }
 }
 
-/// Tolerances under which a device evaluation may be reused for nearby
-/// controlling voltages (inactive ⇒ only exact-bit reuse).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct BypassTolerance {
-    pub(crate) active: bool,
-    pub(crate) v_abs: f64,
-    pub(crate) v_rel: f64,
-}
-
-impl BypassTolerance {
-    /// Exact-bit reuse only.
-    pub(crate) const OFF: BypassTolerance = BypassTolerance {
-        active: false,
-        v_abs: 0.0,
-        v_rel: 0.0,
-    };
-}
-
 /// Stamping-effort counters accumulated on the assembly (single-threaded
 /// interior mutability; an assembly is per-thread by construction).
 #[derive(Debug, Default)]
 pub(crate) struct StampCounters {
     pub(crate) device_evals: Cell<u64>,
     pub(crate) device_reuses: Cell<u64>,
-    pub(crate) bypass_hits: Cell<u64>,
     pub(crate) restamp_incremental: Cell<u64>,
     pub(crate) restamp_full: Cell<u64>,
 }
@@ -152,7 +132,6 @@ impl StampCounters {
         StampEffort {
             device_evals: self.device_evals.take(),
             device_reuses: self.device_reuses.take(),
-            bypass_hits: self.bypass_hits.take(),
             restamp_incremental: self.restamp_incremental.take(),
             restamp_full: self.restamp_full.take(),
         }
@@ -172,9 +151,6 @@ pub struct StampEffort {
     /// Evaluations skipped because the controlling voltages matched the
     /// cached anchor bit-for-bit (always sound).
     pub device_reuses: u64,
-    /// Evaluations skipped by the tolerance-based bypass (approximation;
-    /// re-verified at acceptance).
-    pub bypass_hits: u64,
     /// Jacobian passes that rewrote only operating-point-dependent slots.
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element (recording, constant
@@ -196,7 +172,6 @@ pub struct StampContext<'a> {
     residual: &'a mut [f64],
     jac: JacSink<'a>,
     device: Option<&'a mut DeviceSlot>,
-    bypass: BypassTolerance,
     counters: Option<&'a StampCounters>,
 }
 
@@ -234,21 +209,14 @@ impl<'a> StampContext<'a> {
             residual,
             jac,
             device: None,
-            bypass: BypassTolerance::OFF,
             counters: None,
         }
     }
 
     /// Attaches this element's persistent device-cache slot plus the
-    /// bypass policy and effort counters of the owning assembly.
-    pub(crate) fn attach_device(
-        &mut self,
-        slot: &'a mut DeviceSlot,
-        bypass: BypassTolerance,
-        counters: &'a StampCounters,
-    ) {
+    /// effort counters of the owning assembly.
+    pub(crate) fn attach_device(&mut self, slot: &'a mut DeviceSlot, counters: &'a StampCounters) {
         self.device = Some(slot);
-        self.bypass = bypass;
         self.counters = Some(counters);
     }
 
@@ -378,38 +346,19 @@ impl<'a> StampContext<'a> {
         }
     }
 
-    /// Cached evaluation outputs for controlling voltages `inputs`.
-    ///
-    /// An exact bit match always hits (the device equations are pure, so a
-    /// recompute would produce identical bits). Inputs merely *within
-    /// tolerance* of the cached anchor hit only when bypass is active; the
-    /// anchor is deliberately not moved on such a hit, so drift cannot
-    /// accumulate.
+    /// Cached evaluation outputs for controlling voltages `inputs`: a hit
+    /// only on an exact bit match (the device equations are pure, so a
+    /// recompute would produce identical bits).
     #[must_use]
     pub fn cached_eval(&self, inputs: [f64; 2]) -> Option<[f64; DEVICE_EVAL_SLOTS]> {
         let slot = self.device.as_ref()?;
-        if !slot.eval_valid {
+        if !slot.eval_valid || [inputs[0].to_bits(), inputs[1].to_bits()] != slot.eval_key {
             return None;
         }
-        if [inputs[0].to_bits(), inputs[1].to_bits()] == slot.eval_key {
-            if let Some(c) = self.counters {
-                bump(&c.device_reuses);
-            }
-            return Some(slot.eval);
+        if let Some(c) = self.counters {
+            bump(&c.device_reuses);
         }
-        if self.bypass.active {
-            let a0 = f64::from_bits(slot.eval_key[0]);
-            let a1 = f64::from_bits(slot.eval_key[1]);
-            let tol0 = self.bypass.v_abs + self.bypass.v_rel * inputs[0].abs().max(a0.abs());
-            let tol1 = self.bypass.v_abs + self.bypass.v_rel * inputs[1].abs().max(a1.abs());
-            if (inputs[0] - a0).abs() <= tol0 && (inputs[1] - a1).abs() <= tol1 {
-                if let Some(c) = self.counters {
-                    bump(&c.bypass_hits);
-                }
-                return Some(slot.eval);
-            }
-        }
-        None
+        Some(slot.eval)
     }
 
     /// Stores the outputs of a full device evaluation at `inputs`, making
@@ -607,7 +556,7 @@ mod tests {
             &mut residual,
             JacSink::None,
         );
-        ctx.attach_device(&mut slot, BypassTolerance::OFF, &counters);
+        ctx.attach_device(&mut slot, &counters);
 
         assert!(ctx.cached_model(300.0f64.to_bits()).is_none());
         ctx.store_model(300.0f64.to_bits(), [1.0; DEVICE_TEMP_SLOTS]);
@@ -617,7 +566,7 @@ mod tests {
         assert!(ctx.cached_eval([0.6, 0.0]).is_none());
         ctx.store_eval([0.6, 0.0], [2.0; DEVICE_EVAL_SLOTS]);
         assert_eq!(ctx.cached_eval([0.6, 0.0]), Some([2.0; DEVICE_EVAL_SLOTS]));
-        // Off-key without bypass: miss.
+        // Off-key by one ulp-scale step: miss.
         assert!(ctx.cached_eval([0.6 + 1e-9, 0.0]).is_none());
         // A model refresh invalidates the evaluation cache.
         ctx.store_model(301.0f64.to_bits(), [1.0; DEVICE_TEMP_SLOTS]);
@@ -626,42 +575,6 @@ mod tests {
         let effort = counters.take();
         assert_eq!(effort.device_evals, 1);
         assert_eq!(effort.device_reuses, 1);
-        assert_eq!(effort.bypass_hits, 0);
         assert_eq!(counters.take(), StampEffort::default());
-    }
-
-    #[test]
-    fn bypass_tolerance_reuses_nearby_points_without_moving_the_anchor() {
-        let x: Vec<f64> = vec![];
-        let mut residual: Vec<f64> = vec![];
-        let mut slot = DeviceSlot::default();
-        let counters = StampCounters::default();
-        let bypass = BypassTolerance {
-            active: true,
-            v_abs: 1e-6,
-            v_rel: 0.0,
-        };
-        let mut ctx = StampContext::with_sink(
-            EvalContext::nominal(Kelvin::new(300.0)),
-            &x,
-            0,
-            0,
-            &mut residual,
-            JacSink::None,
-        );
-        ctx.attach_device(&mut slot, bypass, &counters);
-        ctx.store_model(300.0f64.to_bits(), [0.0; DEVICE_TEMP_SLOTS]);
-        ctx.store_eval([0.6, 0.0], [7.0; DEVICE_EVAL_SLOTS]);
-        // Within tolerance: reused.
-        assert_eq!(
-            ctx.cached_eval([0.6 + 5e-7, 0.0]),
-            Some([7.0; DEVICE_EVAL_SLOTS])
-        );
-        // Anchor unmoved: a point within tolerance of the *new* input but
-        // beyond tolerance of the anchor misses.
-        assert!(ctx.cached_eval([0.6 + 15e-7, 0.0]).is_none());
-        let effort = counters.take();
-        assert_eq!(effort.bypass_hits, 1);
-        assert_eq!(effort.device_evals, 1);
     }
 }

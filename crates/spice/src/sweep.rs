@@ -7,7 +7,7 @@
 //! incremental restamping plan, and the device caches survive from point
 //! to point exactly as they do inside a campaign die. The solve path is
 //! a pure speed knob: results are bitwise identical whether the sparse
-//! plan or the dense fallback ran, and whether device bypass was on.
+//! plan or the dense fallback ran.
 
 use icvbe_numerics::lu::LuFactors;
 use icvbe_numerics::newton::NonlinearSystem;
@@ -192,7 +192,7 @@ mod tests {
     use crate::bjt::{Bjt, BjtParams, Polarity};
     use crate::element::{CurrentSource, Resistor};
     use crate::netlist::Circuit;
-    use crate::solver::{solve_dc, BypassOptions};
+    use crate::solver::solve_dc;
     use icvbe_units::{Ampere, Ohm};
 
     #[test]
@@ -328,24 +328,6 @@ mod tests {
         };
         let a = temperature_sweep(&c, &temps, &sparse).unwrap();
         let b = temperature_sweep(&c, &temps, &dense).unwrap();
-        for (i, (pa, pb)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(pa.solution(), pb.solution(), "point {i} diverged");
-        }
-    }
-
-    #[test]
-    fn bypass_on_and_off_are_bit_identical() {
-        // Device bypass is suspended while a candidate solution is
-        // verified, so accepted operating points carry no bypass error:
-        // bitwise equality, not approximate agreement.
-        let (c, _) = pnp_under_bias();
-        let temps = temperature_grid(Kelvin::new(248.15), Kelvin::new(348.15), 7);
-        let with_bypass = DcOptions {
-            bypass: BypassOptions::active(),
-            ..DcOptions::default()
-        };
-        let a = temperature_sweep(&c, &temps, &with_bypass).unwrap();
-        let b = temperature_sweep(&c, &temps, &DcOptions::default()).unwrap();
         for (i, (pa, pb)) in a.iter().zip(&b).enumerate() {
             assert_eq!(pa.solution(), pb.solution(), "point {i} diverged");
         }

@@ -23,9 +23,7 @@ use icvbe_numerics::{Matrix, NumericsError};
 
 use crate::cache::SymbolicCache;
 use crate::netlist::Circuit;
-use crate::stamp::{
-    BypassTolerance, DeviceSlot, EvalContext, JacSink, StampContext, StampCounters, StampEffort,
-};
+use crate::stamp::{DeviceSlot, EvalContext, JacSink, StampContext, StampCounters, StampEffort};
 use crate::SpiceError;
 
 /// The recorded incremental-restamp plan of one assembly: slot ranges per
@@ -156,13 +154,6 @@ impl CircuitAssembly {
         self.counters.take()
     }
 
-    /// Tolerance-bypass hits accumulated since the counters were last
-    /// drained (monotonic between drains; used for trace payloads).
-    #[must_use]
-    pub fn bypass_hits(&self) -> u64 {
-        self.counters.bypass_hits.get()
-    }
-
     /// Total number of unknowns (node voltages plus branch currents).
     #[must_use]
     pub fn dimension(&self) -> usize {
@@ -207,10 +198,6 @@ pub struct CircuitSystem<'a> {
     /// Hot systems use the assembly's device caches and incremental
     /// restamp plan; cold systems stamp densely on every call.
     hot: bool,
-    bypass: BypassTolerance,
-    /// While set, tolerance-based device bypass is suspended so residuals
-    /// are exact (the solver sets this around acceptance checks).
-    exact: Cell<bool>,
 }
 
 impl<'a> CircuitSystem<'a> {
@@ -223,8 +210,6 @@ impl<'a> CircuitSystem<'a> {
             eval,
             assembly: AssemblyRef::Owned(CircuitAssembly::new_unchecked(circuit)),
             hot: false,
-            bypass: BypassTolerance::OFF,
-            exact: Cell::new(false),
         }
     }
 
@@ -241,26 +226,21 @@ impl<'a> CircuitSystem<'a> {
             eval,
             assembly: AssemblyRef::Borrowed(assembly),
             hot: false,
-            bypass: BypassTolerance::OFF,
-            exact: Cell::new(false),
         }
     }
 
-    /// The solver's internal binding: device caches, incremental
-    /// restamping and (optionally) tolerance bypass are all active.
+    /// The solver's internal binding: device caches and incremental
+    /// restamping are active.
     pub(crate) fn hot_path(
         circuit: &'a Circuit,
         eval: EvalContext,
         assembly: &'a CircuitAssembly,
-        bypass: BypassTolerance,
     ) -> Self {
         CircuitSystem {
             circuit,
             eval,
             assembly: AssemblyRef::Borrowed(assembly),
             hot: true,
-            bypass,
-            exact: Cell::new(false),
         }
     }
 
@@ -283,13 +263,6 @@ impl<'a> CircuitSystem<'a> {
         self.eval = eval;
     }
 
-    /// Changes the bypass policy between solve rungs: warm solves run
-    /// exact-reuse-only (re-evaluation is already rare there), escalated
-    /// rungs arm the tolerance bypass where it pays for itself.
-    pub(crate) fn set_bypass(&mut self, bypass: BypassTolerance) {
-        self.bypass = bypass;
-    }
-
     /// First absolute branch index of element `element_index`.
     ///
     /// # Panics
@@ -306,16 +279,6 @@ impl<'a> CircuitSystem<'a> {
         self.asm().node_count
     }
 
-    /// The bypass policy in force for this pass: suspended in exact mode
-    /// and on cold systems.
-    fn effective_bypass(&self) -> BypassTolerance {
-        if self.hot && self.bypass.active && !self.exact.get() {
-            self.bypass
-        } else {
-            BypassTolerance::OFF
-        }
-    }
-
     fn stamp_all(&self, x: &[f64], residual: &mut [f64], mut jacobian: Option<&mut Matrix>) {
         let asm = self.asm();
         let mut slots = if self.hot {
@@ -323,7 +286,6 @@ impl<'a> CircuitSystem<'a> {
         } else {
             None
         };
-        let bypass = self.effective_bypass();
         for (i, (e, &base)) in self
             .circuit
             .elements()
@@ -340,7 +302,7 @@ impl<'a> CircuitSystem<'a> {
                 jacobian.as_deref_mut(),
             );
             if let Some(s) = slots.as_mut() {
-                ctx.attach_device(&mut s[i], bypass, &asm.counters);
+                ctx.attach_device(&mut s[i], &asm.counters);
             }
             e.stamp(&mut ctx);
         }
@@ -429,7 +391,6 @@ impl<'a> CircuitSystem<'a> {
         let mut constant = Vec::with_capacity(elements.len());
         {
             let mut slots = asm.device_slots.borrow_mut();
-            let bypass = self.effective_bypass();
             for (i, (e, &base)) in elements.iter().zip(&asm.branch_bases).enumerate() {
                 let start = seq.len() as u32;
                 let mut ctx = StampContext::with_sink(
@@ -443,7 +404,7 @@ impl<'a> CircuitSystem<'a> {
                         values: &mut values,
                     },
                 );
-                ctx.attach_device(&mut slots[i], bypass, &asm.counters);
+                ctx.attach_device(&mut slots[i], &asm.counters);
                 e.stamp(&mut ctx);
                 ranges.push((start, seq.len() as u32));
                 constant.push(e.jacobian_constant());
@@ -528,7 +489,6 @@ impl<'a> CircuitSystem<'a> {
             return false;
         }
         let mut slots = asm.device_slots.borrow_mut();
-        let bypass = self.effective_bypass();
         let StampPlan {
             ranges,
             constant,
@@ -553,7 +513,7 @@ impl<'a> CircuitSystem<'a> {
             };
             let mut ctx =
                 StampContext::with_sink(self.eval, x, asm.node_count, base, residual, sink);
-            ctx.attach_device(&mut slots[i], bypass, &asm.counters);
+            ctx.attach_device(&mut slots[i], &asm.counters);
             e.stamp(&mut ctx);
             if !skip && (!ok || cursor != hi - lo) {
                 return false;
@@ -635,14 +595,6 @@ impl NonlinearSystem for CircuitSystem<'_> {
             return Err(NumericsError::invalid("non-finite circuit jacobian"));
         }
         Ok(())
-    }
-
-    fn set_exact(&self, exact: bool) {
-        self.exact.set(exact);
-    }
-
-    fn residual_is_approximate(&self) -> bool {
-        self.hot && self.bypass.active
     }
 }
 
@@ -761,7 +713,7 @@ mod tests {
         let n = asm.dimension();
         let mut eval = EvalContext::nominal(Kelvin::new(298.15));
         eval.gmin = 1e-9;
-        let hot = CircuitSystem::hot_path(&c, eval, &asm, BypassTolerance::OFF);
+        let hot = CircuitSystem::hot_path(&c, eval, &asm);
         let cold = CircuitSystem::new(&c, eval);
 
         let points: Vec<Vec<f64>> = vec![
@@ -799,7 +751,7 @@ mod tests {
         let eval_a = EvalContext::nominal(Kelvin::new(298.15));
         let mut eval_b = eval_a;
         eval_b.gmin = 1e-3;
-        let mut hot = CircuitSystem::hot_path(&c, eval_a, &asm, BypassTolerance::OFF);
+        let mut hot = CircuitSystem::hot_path(&c, eval_a, &asm);
         let x: Vec<f64> = (0..n).map(|i| 0.05 * i as f64).collect();
         let mut j_hot = Matrix::zeros(n, n);
         let mut f = vec![0.0; n];
@@ -836,7 +788,7 @@ mod tests {
         let asm = CircuitAssembly::new(&c).unwrap();
         assert!(asm.symbolic_plan().is_none());
         let eval = EvalContext::nominal(Kelvin::new(300.0));
-        let hot = CircuitSystem::hot_path(&c, eval, &asm, BypassTolerance::OFF);
+        let hot = CircuitSystem::hot_path(&c, eval, &asm);
         let mut j = Matrix::zeros(3, 3);
         hot.jacobian(&[0.0; 3], &mut j).unwrap();
         let plan = asm.symbolic_plan().expect("armed by first jacobian pass");
@@ -844,30 +796,5 @@ mod tests {
         // The voltage-source branch has no diagonal stamp, but the plan
         // must still pivot through it.
         assert!(plan.in_pattern(2, 2));
-    }
-
-    #[test]
-    fn exact_mode_reports_approximation_only_when_bypass_is_active() {
-        let c = divider();
-        let asm = CircuitAssembly::new(&c).unwrap();
-        let eval = EvalContext::nominal(Kelvin::new(300.0));
-        let plain = CircuitSystem::hot_path(&c, eval, &asm, BypassTolerance::OFF);
-        assert!(!plain.residual_is_approximate());
-        let bypassed = CircuitSystem::hot_path(
-            &c,
-            eval,
-            &asm,
-            BypassTolerance {
-                active: true,
-                v_abs: 1e-6,
-                v_rel: 1e-5,
-            },
-        );
-        assert!(bypassed.residual_is_approximate());
-        // In exact mode the effective bypass is suspended.
-        bypassed.set_exact(true);
-        assert_eq!(bypassed.effective_bypass(), BypassTolerance::OFF);
-        bypassed.set_exact(false);
-        assert!(bypassed.effective_bypass().active);
     }
 }

@@ -28,7 +28,7 @@ use icvbe_units::Kelvin;
 use crate::ladder::{SolveFailure, SolveStrategy};
 use crate::netlist::Circuit;
 use crate::solver::DcOptions;
-use crate::stamp::{BypassTolerance, EvalContext};
+use crate::stamp::EvalContext;
 use crate::system::{CircuitAssembly, CircuitSystem};
 use crate::SpiceError;
 
@@ -58,8 +58,6 @@ pub struct SolveStats {
     pub device_evals: u64,
     /// Device evaluations skipped by an exact-bit cache hit.
     pub device_reuses: u64,
-    /// Device evaluations skipped by the tolerance bypass.
-    pub bypass_hits: u64,
     /// Jacobian passes that rewrote only operating-point-dependent slots.
     pub restamp_incremental: u64,
     /// Jacobian passes that stamped every element.
@@ -126,16 +124,15 @@ impl SolveWorkspace {
 }
 
 /// Drains the assembly's per-solve stamp counters into the workspace
-/// stats and returns the solve's bypass-hit count (for the solve span
-/// payload).
+/// stats and returns the solve's device-evaluation count (for the solve
+/// span payload).
 fn drain_effort(ws: &mut SolveWorkspace, assembly: &CircuitAssembly) -> u64 {
     let effort = assembly.take_stamp_effort();
     ws.stats.device_evals += effort.device_evals;
     ws.stats.device_reuses += effort.device_reuses;
-    ws.stats.bypass_hits += effort.bypass_hits;
     ws.stats.restamp_incremental += effort.restamp_incremental;
     ws.stats.restamp_full += effort.restamp_full;
-    effort.bypass_hits
+    effort.device_evals
 }
 
 /// One Newton call from `ws.x` on `system`: books the call's polish
@@ -168,9 +165,9 @@ fn rung_succeeded(
     rung: SpanToken,
     solve: SpanToken,
 ) -> DcSolveInfo {
-    let bypass = drain_effort(ws, assembly);
+    let evals = drain_effort(ws, assembly);
     ws.trace.span_end(rung);
-    ws.trace.span_end_with(solve, iterations as u64, bypass);
+    ws.trace.span_end_with(solve, iterations as u64, evals);
     ws.stats.newton_iterations += iterations as u64;
     ws.stats.ladder_success[strategy.index()] += 1;
     DcSolveInfo {
@@ -189,8 +186,8 @@ fn ladder_exhausted(
     failure: SolveFailure,
     solve: SpanToken,
 ) -> SpiceError {
-    let bypass = drain_effort(ws, assembly);
-    ws.trace.span_end_with(solve, iterations as u64, bypass);
+    let evals = drain_effort(ws, assembly);
+    ws.trace.span_end_with(solve, iterations as u64, evals);
     ws.stats.newton_iterations += iterations as u64;
     ws.stats.ladder_exhausted += 1;
     SpiceError::LadderExhausted(failure)
@@ -236,17 +233,7 @@ pub fn solve_dc_with(
     // through this assembly; force one full restamp before going
     // incremental again.
     assembly.invalidate_constants();
-    let bypass = BypassTolerance {
-        active: options.bypass.enabled,
-        v_abs: options.bypass.v_abs,
-        v_rel: options.bypass.v_rel,
-    };
-    // Bypass is gated to the escalated rungs: warm solves re-evaluate so
-    // rarely that the tolerance bookkeeping costs more than it saves
-    // (measured on the campaign bench — see DESIGN.md §10), while cold and
-    // ladder solves take tens of thousands of profitable hits. Accepted
-    // bits are unchanged either way (the bypass on/off contract).
-    let mut system = CircuitSystem::hot_path(circuit, eval, assembly, BypassTolerance::OFF);
+    let mut system = CircuitSystem::hot_path(circuit, eval, assembly);
     // The symbolic plan is armed by the first recording pass, so a fresh
     // assembly runs its first solve through dense LU and binds the frozen
     // factorization from the second solve on (bitwise identical results).
@@ -300,9 +287,7 @@ pub fn solve_dc_with(
 
     // Rung 2 — cold start: direct Newton from all zeros. When no seed was
     // provided `x0` is already zeros, so this reproduces the historical
-    // "strategy 1" arithmetic exactly. From here down the solve is cold or
-    // escalated, where the tolerance bypass pays for itself — arm it.
-    system.set_bypass(bypass);
+    // "strategy 1" arithmetic exactly.
     let rung = ws
         .trace
         .span_labeled(SpanKind::Rung, SolveStrategy::ColdStart.label());
@@ -542,7 +527,6 @@ mod tests {
             ladder_exhausted: 0,
             device_evals: 42,
             device_reuses: 9,
-            bypass_hits: 4,
             restamp_incremental: 11,
             restamp_full: 3,
         };

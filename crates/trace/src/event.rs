@@ -104,7 +104,7 @@ impl SpanKind {
     pub fn payload_keys(self) -> (&'static str, &'static str) {
         match self {
             SpanKind::Newton => ("iters", "polish"),
-            SpanKind::DcSolve => ("iters", ""),
+            SpanKind::DcSolve => ("iters", "evals"),
             SpanKind::RobustFit => ("rounds", "outliers"),
             SpanKind::Attempt => ("ok", ""),
             SpanKind::QueueWait => ("nd_buffer", ""),
